@@ -114,6 +114,10 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.kind in ("phase", "conserve"):
         if not feasible:
             raise ConfigurationError("field `lambdas` has no overload-feasible entries")
+    elif cfg.kind in ("excursion", "diagnostic") and len(cfg.lambdas) > 1:
+        raise ConfigurationError(
+            f"kind `{cfg.kind}` takes one lambda, got {len(cfg.lambdas)}"
+        )
     elif len(feasible) != len(cfg.lambdas):
         raise ConfigurationError(
             f"field `lambdas` must lie in ({1.0 - cfg.p}, 1) for kind `{cfg.kind}`"
@@ -476,23 +480,28 @@ def _run_analytic(cfg: RunConfig, out_dir: Path) -> None:
                ["lambda", "x_star", "q_opt", "log_term", "ratio", "diversion_rate"], table)
 
 
-def _excursion_config(cfg: RunConfig, lam: float, q_ref: float) -> ExcursionConfig:
-    rule = _parse_window_rule(cfg.window_rule)
-    params = ModelParams(lam, cfg.p, rule(lam))
-    return ExcursionConfig(
+def _excursion_config(cfg: RunConfig) -> tuple[ExcursionConfig, str]:
+    """Geometry for the single lambda; an unset q_ref resolves via reference_queue."""
+    lam = cfg.lambdas[0]
+    params = ModelParams(lam, cfg.p, _parse_window_rule(cfg.window_rule)(lam))
+    if cfg.q_ref is None:
+        q_ref, source = reference_queue(params, cfg.policy, seed=cfg.master_seed)
+    else:
+        q_ref, source = cfg.q_ref, "config"
+    config = ExcursionConfig(
         params=params, k=cfg.k, epsilon=cfg.epsilon, zeta=cfg.zeta, phi=cfg.phi, q_ref=q_ref
     )
+    return config, source
 
 
 PER_SAMPLE_COLUMNS = ["sample", "e1", "e3", "e4", "e5", "z", "Y", "V", "J", "L0"]
 
 
 def _run_excursion(cfg: RunConfig, out_dir: Path) -> None:
-    lam = cfg.lambdas[0]
-    config = _excursion_config(cfg, lam, cfg.q_ref if cfg.q_ref is not None else 0.0)
+    config, _ = _excursion_config(cfg)
     report, indicators = estimate_event_probs(config, cfg.n_samples, cfg.master_seed)
     payload = {
-        "lambda": lam, "p": cfg.p, "window": config.params.window,
+        "lambda": cfg.lambdas[0], "p": cfg.p, "window": config.params.window,
         "k": cfg.k, "epsilon": cfg.epsilon, "zeta": cfg.zeta, "phi": cfg.phi,
         "q_ref": config.q_ref,
         "n_samples": report.n_samples,
@@ -516,21 +525,13 @@ def _run_excursion(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _run_diagnostic(cfg: RunConfig, out_dir: Path) -> None:
-    lam = cfg.lambdas[0]
-    rule = _parse_window_rule(cfg.window_rule)
-    params = ModelParams(lam, cfg.p, rule(lam))
-    if cfg.q_ref is None:
-        q_ref, source = reference_queue(params, cfg.policy, seed=cfg.master_seed)
-    else:
-        q_ref, source = cfg.q_ref, "config"
-    config = ExcursionConfig(
-        params=params, k=cfg.k, epsilon=cfg.epsilon, zeta=cfg.zeta, phi=cfg.phi, q_ref=q_ref
-    )
+    config, source = _excursion_config(cfg)
     report = diversion_idling_diagnostic(
         config, cfg.policy, cfg.n_samples, cfg.master_seed, q_ref_source=source
     )
     payload = {
-        "lambda": lam, "p": cfg.p, "window": params.window, "policy": cfg.policy,
+        "lambda": cfg.lambdas[0], "p": cfg.p, "window": config.params.window,
+        "policy": cfg.policy,
         "q_ref": report.q_ref, "q_ref_source": report.q_ref_source,
         "n_samples": report.n_samples, "warmup_time": report.warmup_time,
         "p_e1": dataclasses.asdict(report.p_e1),

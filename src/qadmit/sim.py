@@ -11,15 +11,18 @@ can be checked exactly at every epoch, and computes the two performance
 functionals (event-average queue, diversion rate) plus the wasted-token
 count.
 
-The built-in policies run through allocation-free fast paths (the windowed
-heuristic via a sliding-window minimum over the walk's prefix sums); any
-other object with a ``decide(state)`` method runs through a generic path
-that materializes a ``PolicyState`` per arrival.  Fast and generic paths
-are decision-for-decision identical, which the tests pin down.
+The built-in policies run through fast paths: admit-all through the
+closed-form Lindley recursion, threshold through a blocked clip-map scan
+in numpy, and the windowed heuristic through a loop over a sliding-window
+minimum of the walk's prefix sums.  Any other object with a
+``decide(state)`` method runs through a generic path that materializes a
+``PolicyState`` per arrival.  Fast and generic paths are
+decision-for-decision identical, which the tests pin down.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -94,24 +97,62 @@ def _simulate_admit_all(marks: np.ndarray, q0: int):
     return pre, post, np.zeros(marks.size, dtype=np.int8)
 
 
+def _clip_scan(marks: np.ndarray, q: int, x: int) -> np.ndarray:
+    """Post-event path of q -> clip(q + m, 0, x) from a start q in [0, x].
+
+    A composition of such maps is again clip(q + a, lo, hi), with a the mark
+    sum and lo, hi the clipped walk started from 0 and from x.  The marks
+    are cut into about sqrt(n) blocks; each block's prefix maps are built
+    for all blocks at once (one vector step per column), a short pass
+    carries q across the block starts, and one clip gives the whole path.
+    """
+    n = marks.size
+    b = math.isqrt(n - 1) + 1
+    nb = -(-n // b)
+    # every intermediate lies in [-b, x + b]
+    dt = np.int16 if x + b < 2**15 else np.int64
+    steps = np.zeros(nb * b, dtype=np.int8)  # zero padding maps q to itself
+    steps[:n] = marks
+    steps = np.ascontiguousarray(steps.reshape(nb, b).T)  # row j: step j of every block
+    shift = np.cumsum(steps, axis=0, dtype=dt)
+    bounds = np.empty((b, 2, nb), dtype=dt)  # [:, 0] walk from 0, [:, 1] walk from x
+    cur = np.zeros((2, nb), dtype=dt)
+    cur[1] = x
+    for j in range(b):
+        row = bounds[j]
+        np.add(cur, steps[j], out=row)
+        np.maximum(row, 0, out=row)
+        np.minimum(row, x, out=row)
+        cur = row
+    a_end = shift[-1].tolist()
+    lo_end = bounds[-1, 0].tolist()
+    hi_end = bounds[-1, 1].tolist()
+    starts = [0] * nb
+    for i in range(nb):
+        starts[i] = q
+        q = min(max(q + a_end[i], lo_end[i]), hi_end[i])
+    shift += np.array(starts, dtype=dt)
+    np.clip(shift, bounds[:, 0], bounds[:, 1], out=shift)
+    post = np.empty((nb, b), dtype=np.int64)
+    post.T[...] = shift
+    return post.reshape(-1)[:n]
+
+
 def _simulate_threshold(marks: np.ndarray, q0: int, x: int):
-    marks_l = marks.tolist()
-    n = len(marks_l)
-    pre = np.empty(n, dtype=np.int64)
-    post = np.empty(n, dtype=np.int64)
-    hs = np.zeros(n, dtype=np.int8)
-    q = q0
-    for i in range(n):
-        pre[i] = q
-        mk = marks_l[i]
-        if mk == 1:
-            if q == x:
-                hs[i] = 1
-            else:
-                q += 1
-        elif q > 0:
-            q -= 1
-        post[i] = q
+    n = marks.size
+    if q0 > x:
+        # above x every arrival is admitted: the path is the free walk
+        # q0 + S, which moves by +-1 and stays >= 1 until it first equals x
+        free = q0 + np.cumsum(marks, dtype=np.int64)
+        hit = free == x
+        k = int(hit.argmax()) + 1 if hit.any() else n
+        post = free if k == n else np.concatenate((free[:k], _clip_scan(marks[k:], x, x)))
+    else:
+        post = _clip_scan(marks, q0, x)
+    pre = np.empty_like(post)
+    pre[0] = q0
+    pre[1:] = post[:-1]
+    hs = ((marks == 1) & (pre == x)).view(np.int8)
     return pre, post, hs
 
 

@@ -240,6 +240,33 @@ def test_excursion_json_and_samples(tmp_path):
     assert samples[0]["Y"] == ""  # policy-dependent columns stay empty here
 
 
+def test_excursion_q_ref_defaults_to_reference_queue(tmp_path):
+    from qadmit.cli import run_config
+    from qadmit.excursion import reference_queue
+    from qadmit.stream import ModelParams
+
+    cfg = RunConfig(
+        kind="excursion", p=0.5, lambdas=(0.9,), window_rule="constant:2",
+        n_samples=100, master_seed=8, k=2.0, epsilon=0.3, phi=5.0,
+        out_dir=str(tmp_path / "ex"),
+    )
+    assert run_config(cfg) == EXIT_OK
+    payload = json.loads((tmp_path / "ex" / "excursion.json").read_text())
+    expected, source = reference_queue(ModelParams(0.9, 0.5, 2.0), "threshold:auto")
+    assert source == "bd-oracle"
+    assert payload["q_ref"] == expected > 0.0
+
+
+@pytest.mark.parametrize("kind", ["excursion", "diagnostic"])
+def test_single_lambda_kinds_reject_lists(tmp_path, capsys, kind):
+    rc = main([kind, "--p", "0.5", "--lambdas", "0.9,0.95", "--out", str(tmp_path / kind)])
+    assert rc == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit"] == EXIT_VALIDATION
+    assert "one lambda" in err["error"]
+    assert not (tmp_path / kind).exists()
+
+
 def test_diagnostic_json(tmp_path):
     cfg = RunConfig(
         kind="diagnostic", p=0.5, lambdas=(0.9,), window_rule="constant:1",

@@ -289,3 +289,65 @@ def test_fast_paths_match_generic_reference():
         tg, hg, _ = run_simulation(s, generic, t_end=800.0)
         assert np.array_equal(hf.decisions, hg.decisions)
         assert np.array_equal(tf.post_event_queue, tg.post_event_queue)
+
+
+class _Delegating:
+    """Run a built-in policy through the generic ``decide()`` path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.lookahead = inner.lookahead
+
+    def decide(self, state):
+        return self.inner.decide(state)
+
+
+def _assert_threshold_matches_generic(marks, q0, x):
+    times = np.arange(1.0, len(marks) + 1.0)
+    s = EventStream(times, np.asarray(marks), horizon=len(marks) + 1.0)
+    tf, hf, _ = run_simulation(s, ThresholdPolicy(x), q0=q0)
+    tg, hg, _ = run_simulation(s, _Delegating(ThresholdPolicy(x)), q0=q0)
+    for fast, generic in (
+        (hf.decisions, hg.decisions),
+        (tf.pre_event_queue, tg.pre_event_queue),
+        (tf.post_event_queue, tg.post_event_queue),
+    ):
+        assert fast.dtype == generic.dtype
+        assert np.array_equal(fast, generic)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    marks=st.lists(st.sampled_from([1, -1]), min_size=1, max_size=400),
+    q0=st.integers(0, 12),
+    x=st.integers(0, 6),
+)
+def test_threshold_scan_matches_generic_property(marks, q0, x):
+    _assert_threshold_matches_generic(marks, q0, x)
+
+
+# the scan cuts n events into blocks of isqrt(n - 1) + 1: perfect squares
+# fill whole blocks, their neighbours leave a short last block or none
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 15, 16, 17, 1023, 1024, 1025])
+@pytest.mark.parametrize("x, q0", [(0, 0), (0, 3), (2, 0), (3, 3), (2, 9)])
+def test_threshold_scan_block_lengths(n, x, q0):
+    rng = np.random.default_rng(n * 100 + x * 10 + q0)
+    marks = np.where(rng.random(n) < 0.55, 1, -1)
+    _assert_threshold_matches_generic(marks, q0, x)
+
+
+def test_threshold_scan_above_x_reaching_and_never_reaching():
+    # q0 > x: the free walk q0 + S until it first equals x
+    _assert_threshold_matches_generic([-1, -1, 1, -1, 1, 1, 1], q0=4, x=2)
+    _assert_threshold_matches_generic([-1, -1, 1, 1, -1], q0=4, x=1)  # never reaches
+    _assert_threshold_matches_generic([-1, -1], q0=3, x=1)  # reaches at the last event
+    _assert_threshold_matches_generic([1], q0=2, x=0)
+
+
+def test_threshold_scan_wide_dtype():
+    # x + block length >= 2**15 forces int64 intermediates
+    big = 2**15
+    marks = [1, 1, 1, -1, 1, 1, -1, -1, 1, 1, 1, 1, -1, 1, 1, 1]
+    _assert_threshold_matches_generic(marks, q0=big - 4, x=big - 3)
+    _assert_threshold_matches_generic(marks, q0=big + 2, x=big)
+    _assert_threshold_matches_generic([-1, -1, -1, 1, 1], q0=big + 3, x=big)
