@@ -31,6 +31,7 @@ from pathlib import Path
 from .analytic import online_scaling_table
 from .errors import ConfigurationError
 from .excursion import (
+    MIN_EVENT_SAMPLES,
     ExcursionConfig,
     diversion_idling_diagnostic,
     estimate_event_probs,
@@ -135,6 +136,14 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigurationError(f"field `workers` must be >= 1, got {cfg.workers}")
     if any(c < 0 for c in cfg.c_values):
         raise ConfigurationError("field `c_values` must be nonnegative")
+    if cfg.kind in ("excursion", "diagnostic"):
+        least = MIN_EVENT_SAMPLES if cfg.kind == "excursion" else 1
+        if cfg.n_samples < least:
+            raise ConfigurationError(
+                f"field `n_samples` must be >= {least} for kind `{cfg.kind}`, got {cfg.n_samples}"
+            )
+        # an unset q_ref is resolved at run time to a value >= 0
+        _excursion_geometry(cfg, 0.0 if cfg.q_ref is None else cfg.q_ref)
 
 
 def _parse_window_rule(rule: str):
@@ -480,18 +489,22 @@ def _run_analytic(cfg: RunConfig, out_dir: Path) -> None:
                ["lambda", "x_star", "q_opt", "log_term", "ratio", "diversion_rate"], table)
 
 
-def _excursion_config(cfg: RunConfig) -> tuple[ExcursionConfig, str]:
-    """Geometry for the single lambda; an unset q_ref resolves via reference_queue."""
+def _excursion_geometry(cfg: RunConfig, q_ref: float) -> ExcursionConfig:
+    """The base-path geometry of the single lambda with the given q_ref."""
     lam = cfg.lambdas[0]
     params = ModelParams(lam, cfg.p, _parse_window_rule(cfg.window_rule)(lam))
-    if cfg.q_ref is None:
-        q_ref, source = reference_queue(params, cfg.policy, seed=cfg.master_seed)
-    else:
-        q_ref, source = cfg.q_ref, "config"
-    config = ExcursionConfig(
+    return ExcursionConfig(
         params=params, k=cfg.k, epsilon=cfg.epsilon, zeta=cfg.zeta, phi=cfg.phi, q_ref=q_ref
     )
-    return config, source
+
+
+def _excursion_config(cfg: RunConfig) -> tuple[ExcursionConfig, str]:
+    """Geometry for the single lambda; an unset q_ref resolves via reference_queue."""
+    if cfg.q_ref is not None:
+        return _excursion_geometry(cfg, cfg.q_ref), "config"
+    config = _excursion_geometry(cfg, 0.0)
+    q_ref, source = reference_queue(config.params, cfg.policy, seed=cfg.master_seed)
+    return dataclasses.replace(config, q_ref=q_ref), source
 
 
 PER_SAMPLE_COLUMNS = ["sample", "e1", "e3", "e4", "e5", "z", "Y", "V", "J", "L0"]

@@ -16,6 +16,18 @@ warm-started diagnostic.  The events sit on disjoint stretches of a
 memoryless stream, so they are mutually independent; the estimators here
 make that checkable along with the probability claims that drive the
 lower-bound argument.
+
+One function, ``_evaluate_path``, computes the events of a path from its
+epochs and mark prefix sums; ``evaluate_events``, ``envelope_slack_required``
+and ``first_passage`` are its wrappers for an EventStream.  The zeta sweep
+and the e5 rate fit draw their paths with a block sampler
+(``_sample_paths``): every sample keeps its own ``replication_seed``
+Generator, but the streams of a block of rows (at most ~2**15 gaps in
+all) are built with array operations instead of one ``generate_stream``
+call each, bit for bit the same.  A row whose first chunk of draws ends
+inside the horizon, or whose epochs are not strictly increasing, is
+built by ``generate_stream`` itself.  ``estimate_event_probs`` still
+calls ``generate_stream`` and ``evaluate_events`` once per sample.
 """
 
 from __future__ import annotations
@@ -27,7 +39,16 @@ import numpy as np
 
 from .errors import ConfigurationError, EstimationError
 from .sim import last_low_time, run_simulation, window_diversions
-from .stream import EventStream, ModelParams, count_events, generate_stream, replication_seed
+from .stream import (
+    ARRIVAL,
+    TOKEN,
+    EventStream,
+    ModelParams,
+    count_events,
+    first_chunk_size,
+    generate_stream,
+    replication_seed,
+)
 
 
 @dataclass(frozen=True)
@@ -51,6 +72,11 @@ class ExcursionConfig:
     def __post_init__(self) -> None:
         if self.k <= 0 or self.phi <= 0 or self.zeta <= 0 or self.q_ref < 0:
             raise ConfigurationError("k, phi, zeta must be > 0 and q_ref >= 0")
+        if self.params.window <= 0:
+            raise ConfigurationError(
+                f"the base path needs a window > 0 (its stretches are multiples of W), "
+                f"got {self.params.window}"
+            )
         if not (0.0 < self.epsilon < min(self.zeta, self.params.drift)):
             raise ConfigurationError(
                 f"need 0 < epsilon < min(zeta, drift) = "
@@ -107,41 +133,54 @@ def wilson_halfwidth(successes: int, n: int, z: float = 1.0) -> float:
     return z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n)) / denom
 
 
+def _evaluate_path(times: np.ndarray, prefix: np.ndarray, config: ExcursionConfig,
+                   origin: float = 0.0) -> tuple[float, bool, bool, float | None]:
+    """Envelope slack, e3, e4 and first-passage time of one path.
+
+    The one implementation of the events: the public functions below and
+    the block sampler both call it.  ``times`` are the path's epochs and
+    ``prefix[n]`` the sum of its first n marks, as in an EventStream or
+    one row of a sampled block.  The walk is piecewise constant while the
+    envelope is affine, so checking each event's pre- and post-jump value
+    plus the segment end at B is exhaustive; e1 holds exactly when the
+    returned slack is <= zeta.  ``z`` is None when the post-U3 walk never
+    undershoots the barrier.
+    """
+    u1, u2, u3 = config.markers
+    t1, t3 = origin + u1, origin + u3
+    n0, n1, n2, n3 = times.searchsorted((origin, t1, origin + u2, t3), side="right")
+    drift, eps, b = config.params.drift, config.epsilon, config.buffer_len
+    s0 = prefix[n1]
+    # left limit at B on the final flat segment
+    slack = abs(float(prefix[n2] - s0) - drift * b) - eps * b
+    if n2 > n1:
+        u = times[n1:n2] - t1
+        du = drift * u
+        dev = np.maximum(np.abs(prefix[n1 + 1 : n2 + 1] - s0 - du),
+                         np.abs(prefix[n1:n2] - s0 - du)) - eps * u
+        slack = max(float(dev.max()), slack)
+    w2 = 2.0 * config.params.window
+    hits = prefix[n3 + 1 :] - prefix[n3] < -config.barrier
+    z = float(times[n3 + hits.argmax()] - t3) if hits.any() else None
+    return slack, bool(prefix[n1] - prefix[n0] <= w2), bool(prefix[n3] - prefix[n2] <= w2), z
+
+
 def envelope_slack_required(stream: EventStream, config: ExcursionConfig, origin: float = 0.0) -> float:
     """Smallest zeta that makes the drift-envelope event true on this path.
 
-    The walk is piecewise constant while the envelope is affine, so
-    checking each event's pre- and post-jump value plus the segment end at
-    B is exhaustive.  e1 holds exactly when this value is <= zeta, which
-    gives pathwise monotonicity of e1 in zeta for free.
+    e1 holds exactly when this value is <= zeta, which gives pathwise
+    monotonicity of e1 in zeta for free.
     """
     u1, u2, _ = config.markers
-    drift, eps = config.params.drift, config.epsilon
-    b = config.buffer_len
-    n1 = count_events(stream, origin + u1)
-    n2 = count_events(stream, origin + u2)
-    c = stream.prefix
-    s0 = c[n1]
-    worst = abs(0.0 - drift * b) - eps * b  # left limit at B on the final flat segment
-    if n2 > n1:
-        u = stream.times[n1:n2] - (origin + u1)
-        post = c[n1 + 1 : n2 + 1] - s0
-        pre = c[n1:n2] - s0
-        dev = np.maximum(np.abs(post - drift * u), np.abs(pre - drift * u)) - eps * u
-        worst = max(float(dev.max()), abs(float(post[-1]) - drift * b) - eps * b)
-    return worst
+    for t in (origin + u1, origin + u2):
+        count_events(stream, t)  # OutOfRangeError outside [0, horizon]
+    return _evaluate_path(stream.times, stream.prefix, config, origin)[0]
 
 
 def first_passage(stream: EventStream, config: ExcursionConfig, origin: float = 0.0) -> float | None:
     """First time z with walk(U3, U3+z) < -barrier, or None if never hit."""
-    _, _, u3 = config.markers
-    n3 = count_events(stream, origin + u3)
-    walk = stream.prefix[n3 + 1 :] - stream.prefix[n3]
-    hits = walk < -config.barrier
-    if not hits.any():
-        return None
-    j = int(np.argmax(hits))
-    return float(stream.times[n3 + j] - (origin + u3))
+    count_events(stream, origin + config.markers[2])  # OutOfRangeError outside [0, horizon]
+    return _evaluate_path(stream.times, stream.prefix, config, origin)[3]
 
 
 def evaluate_events(
@@ -153,25 +192,62 @@ def evaluate_events(
     as if stationary at time zero.  The stream must extend at least to
     origin + U3 + phi * W.
     """
-    u1, u2, u3 = config.markers
     if stream.horizon < origin + config.horizon_needed:
         raise ConfigurationError(
             f"stream horizon {stream.horizon} shorter than required "
             f"{origin + config.horizon_needed}"
         )
-    w = config.params.window
-    c = stream.prefix
-    n0 = count_events(stream, origin)
-    n1 = count_events(stream, origin + u1)
-    n2 = count_events(stream, origin + u2)
-    n3 = count_events(stream, origin + u3)
+    count_events(stream, origin)  # OutOfRangeError for a negative origin
+    slack, e3, e4, z = _evaluate_path(stream.times, stream.prefix, config, origin)
+    return EventIndicators(e1=slack <= config.zeta, e3=e3, e4=e4,
+                           e5=z is not None and z <= config.deadline, z_value=z)
 
-    e1 = envelope_slack_required(stream, config, origin) <= config.zeta
-    e3 = (c[n1] - c[n0]) <= 2.0 * w
-    e4 = (c[n3] - c[n2]) <= 2.0 * w
-    z = first_passage(stream, config, origin)
-    e5 = z is not None and z <= config.deadline
-    return EventIndicators(e1=bool(e1), e3=bool(e3), e4=bool(e4), e5=e5, z_value=z)
+
+# Elements (rows x first-chunk columns) of one sampled block: ~1 MB of
+# per-block arrays, whatever n_samples is.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _sample_paths(params: ModelParams, horizon: float, seed: int, indices: range):
+    """Yield (times, prefix) of the stream of replication_seed(seed, i), i in indices.
+
+    Bit-identical to :func:`generate_stream` on the same seed, but a block
+    of rows is built at once: each row gets its own Generator and draws one
+    first chunk of standard exponential gaps and then as many uniforms
+    (``exponential(scale)`` is ``scale * standard_exponential`` bit for
+    bit, and the first n of ``random(chunk)`` are ``random(n)``); cumsum,
+    the event counts, the marks (int8) and their prefix sums (int32) are
+    array operations over the block.  A row whose first chunk ends inside
+    the horizon, or whose epochs are not positive and strictly increasing,
+    goes through ``generate_stream`` itself, so its extra chunks, tie
+    nudging and errors are exactly the scalar path's.
+    """
+    rate = params.total_rate
+    chunk = first_chunk_size(rate, horizon)
+    rows = max(1, _BLOCK_ELEMENTS // chunk)
+    for start in range(0, len(indices), rows):
+        block = indices[start : start + rows]
+        seeds = [replication_seed(seed, i) for i in block]
+        times = np.empty((len(block), chunk))
+        uniforms = np.empty((len(block), chunk))
+        for r, ss in enumerate(seeds):
+            rng = np.random.default_rng(ss)
+            rng.standard_exponential(out=times[r])
+            rng.random(out=uniforms[r])
+        times *= 1.0 / rate
+        np.cumsum(times, axis=1, out=times)
+        fallback = ((times[:, -1] <= horizon) | (times[:, 0] <= 0.0)
+                    | (times[:, 1:] <= times[:, :-1]).any(axis=1))
+        counts = (times <= horizon).sum(axis=1)
+        prefix = np.zeros((len(block), chunk + 1), dtype=np.int32)
+        marks = np.where(uniforms < params.arrival_fraction, np.int8(ARRIVAL), np.int8(TOKEN))
+        np.cumsum(marks, axis=1, dtype=np.int32, out=prefix[:, 1:])
+        for r, n in enumerate(counts):
+            if fallback[r]:
+                st = generate_stream(params, horizon, seeds[r])
+                yield st.times, st.prefix
+            else:
+                yield times[r, :n], prefix[r, : n + 1]
 
 
 @dataclass(frozen=True)
@@ -201,6 +277,7 @@ class ExcursionReport:
 
 
 _EVENT_NAMES = ("e1", "e3", "e4", "e5")
+MIN_EVENT_SAMPLES = 100
 
 
 def _pairwise_correlations(indicators: np.ndarray) -> dict[str, float]:
@@ -225,8 +302,11 @@ def estimate_event_probs(
     Returns the report plus the raw (n_samples, 4) boolean indicator matrix
     so callers can reuse the same draws (e.g. for independence checks).
     """
-    if n_samples < 100:
-        raise ConfigurationError(f"need n_samples >= 100, got {n_samples}")
+    if n_samples < MIN_EVENT_SAMPLES:
+        raise ConfigurationError(f"need n_samples >= {MIN_EVENT_SAMPLES}, got {n_samples}")
+    # One generate_stream and one evaluate_events call per sample, not the
+    # block sampler: the benchmark's excursion-mc workload counts its events
+    # and samples at these two calls (perfbench/tracer.py).
     horizon = config.horizon_needed
     rows = np.empty((n_samples, 4), dtype=bool)
     z_hits = []
@@ -270,11 +350,9 @@ def e1_zeta_sweep(
     zetas = sorted(float(z) for z in zetas)
     if zetas[0] <= config.epsilon:
         raise ConfigurationError("every zeta in the sweep must exceed epsilon")
-    horizon = config.horizon_needed
-    required = np.empty(n_samples)
-    for i in range(n_samples):
-        st = generate_stream(config.params, horizon, replication_seed(seed, i))
-        required[i] = envelope_slack_required(st, config)
+    paths = _sample_paths(config.params, config.horizon_needed, seed, range(n_samples))
+    required = np.fromiter((_evaluate_path(times, prefix, config)[0] for times, prefix in paths),
+                           dtype=float, count=n_samples)
     out = []
     for z in zetas:
         hits = int((required <= z).sum())
@@ -312,12 +390,12 @@ def e5_rate_fit(
             window=w,
         )
         cfg = replace(config, params=params)
+        first = (j + 1) * n_samples
         hits = 0
-        horizon = cfg.horizon_needed
-        for i in range(n_samples):
-            st = generate_stream(params, horizon, replication_seed(seed, (j + 1) * n_samples + i))
-            ev = evaluate_events(st, cfg)
-            hits += ev.e5
+        for times, prefix in _sample_paths(params, cfg.horizon_needed, seed,
+                                           range(first, first + n_samples)):
+            z = _evaluate_path(times, prefix, cfg)[3]
+            hits += z is not None and z <= cfg.deadline
         if hits == 0:
             dropped.append(w)
         else:

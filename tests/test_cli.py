@@ -267,6 +267,29 @@ def test_single_lambda_kinds_reject_lists(tmp_path, capsys, kind):
     assert not (tmp_path / kind).exists()
 
 
+@pytest.mark.parametrize("kind, args, message", [
+    ("excursion", ["--n-samples", "20"], "n_samples"),
+    ("diagnostic", ["--n-samples", "0"], "n_samples"),
+    ("excursion", ["--epsilon", "0.9"], "epsilon"),
+    ("diagnostic", ["--epsilon", "0.9"], "epsilon"),
+    ("excursion", ["--epsilon", "0.5", "--zeta", "0.4"], "epsilon"),
+    ("excursion", ["--k", "0"], "k, phi, zeta"),
+    ("excursion", ["--phi", "-1"], "k, phi, zeta"),
+    ("diagnostic", ["--zeta", "0"], "k, phi, zeta"),
+    ("excursion", ["--q-ref", "-0.5"], "q_ref"),
+    ("excursion", ["--window-rule", "zero"], "window > 0"),
+    ("diagnostic", ["--window-rule", "zero"], "window > 0"),
+])
+def test_excursion_geometry_rejected_before_any_file(tmp_path, capsys, kind, args, message):
+    out = tmp_path / kind
+    base = ["--p", "0.5", "--lambdas", "0.9", "--window-rule", "constant:2", "--out", str(out)]
+    assert main([kind, *base, *args]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit"] == EXIT_VALIDATION
+    assert message in err["error"]
+    assert not (out / "manifest.json").exists()
+
+
 def test_diagnostic_json(tmp_path):
     cfg = RunConfig(
         kind="diagnostic", p=0.5, lambdas=(0.9,), window_rule="constant:1",

@@ -44,6 +44,8 @@ def test_config_validation():
         make_config(k=0.0)
     with pytest.raises(ConfigurationError):
         make_config(phi=-1.0)
+    with pytest.raises(ConfigurationError):
+        make_config(window=0.0)  # every stretch of the base path would be empty
 
 
 def test_barrier_formula():
