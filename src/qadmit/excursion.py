@@ -19,15 +19,9 @@ lower-bound argument.
 
 One function, ``_evaluate_path``, computes the events of a path from its
 epochs and mark prefix sums; ``evaluate_events``, ``envelope_slack_required``
-and ``first_passage`` are its wrappers for an EventStream.  The zeta sweep
-and the e5 rate fit draw their paths with a block sampler
-(``_sample_paths``): every sample keeps its own ``replication_seed``
-Generator, but the streams of a block of rows (at most ~2**15 gaps in
-all) are built with array operations instead of one ``generate_stream``
-call each, bit for bit the same.  A row whose first chunk of draws ends
-inside the horizon, or whose epochs are not strictly increasing, is
-built by ``generate_stream`` itself.  ``estimate_event_probs`` still
-calls ``generate_stream`` and ``evaluate_events`` once per sample.
+and ``first_passage`` are its wrappers for an EventStream.  The estimators
+draw one ``generate_stream`` per sample from ``replication_seed(seed, i)``
+and score it with that evaluator.
 """
 
 from __future__ import annotations
@@ -39,16 +33,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EstimationError
 from .sim import last_low_time, run_simulation, window_diversions
-from .stream import (
-    ARRIVAL,
-    TOKEN,
-    EventStream,
-    ModelParams,
-    count_events,
-    first_chunk_size,
-    generate_stream,
-    replication_seed,
-)
+from .stream import EventStream, ModelParams, count_events, generate_stream, replication_seed
 
 
 @dataclass(frozen=True)
@@ -138,9 +123,8 @@ def _evaluate_path(times: np.ndarray, prefix: np.ndarray, config: ExcursionConfi
     """Envelope slack, e3, e4 and first-passage time of one path.
 
     The one implementation of the events: the public functions below and
-    the block sampler both call it.  ``times`` are the path's epochs and
-    ``prefix[n]`` the sum of its first n marks, as in an EventStream or
-    one row of a sampled block.  The walk is piecewise constant while the
+    the estimators call it.  ``times`` are the path's epochs and
+    ``prefix[n]`` the sum of its first n marks, as in an EventStream.  The walk is piecewise constant while the
     envelope is affine, so checking each event's pre- and post-jump value
     plus the segment end at B is exhaustive; e1 holds exactly when the
     returned slack is <= zeta.  ``z`` is None when the post-U3 walk never
@@ -203,53 +187,6 @@ def evaluate_events(
                            e5=z is not None and z <= config.deadline, z_value=z)
 
 
-# Elements (rows x first-chunk columns) of one sampled block: ~1 MB of
-# per-block arrays, whatever n_samples is.
-_BLOCK_ELEMENTS = 1 << 15
-
-
-def _sample_paths(params: ModelParams, horizon: float, seed: int, indices: range):
-    """Yield (times, prefix) of the stream of replication_seed(seed, i), i in indices.
-
-    Bit-identical to :func:`generate_stream` on the same seed, but a block
-    of rows is built at once: each row gets its own Generator and draws one
-    first chunk of standard exponential gaps and then as many uniforms
-    (``exponential(scale)`` is ``scale * standard_exponential`` bit for
-    bit, and the first n of ``random(chunk)`` are ``random(n)``); cumsum,
-    the event counts, the marks (int8) and their prefix sums (int32) are
-    array operations over the block.  A row whose first chunk ends inside
-    the horizon, or whose epochs are not positive and strictly increasing,
-    goes through ``generate_stream`` itself, so its extra chunks, tie
-    nudging and errors are exactly the scalar path's.
-    """
-    rate = params.total_rate
-    chunk = first_chunk_size(rate, horizon)
-    rows = max(1, _BLOCK_ELEMENTS // chunk)
-    for start in range(0, len(indices), rows):
-        block = indices[start : start + rows]
-        seeds = [replication_seed(seed, i) for i in block]
-        times = np.empty((len(block), chunk))
-        uniforms = np.empty((len(block), chunk))
-        for r, ss in enumerate(seeds):
-            rng = np.random.default_rng(ss)
-            rng.standard_exponential(out=times[r])
-            rng.random(out=uniforms[r])
-        times *= 1.0 / rate
-        np.cumsum(times, axis=1, out=times)
-        fallback = ((times[:, -1] <= horizon) | (times[:, 0] <= 0.0)
-                    | (times[:, 1:] <= times[:, :-1]).any(axis=1))
-        counts = (times <= horizon).sum(axis=1)
-        prefix = np.zeros((len(block), chunk + 1), dtype=np.int32)
-        marks = np.where(uniforms < params.arrival_fraction, np.int8(ARRIVAL), np.int8(TOKEN))
-        np.cumsum(marks, axis=1, dtype=np.int32, out=prefix[:, 1:])
-        for r, n in enumerate(counts):
-            if fallback[r]:
-                st = generate_stream(params, horizon, seeds[r])
-                yield st.times, st.prefix
-            else:
-                yield times[r, :n], prefix[r, : n + 1]
-
-
 @dataclass(frozen=True)
 class EventEstimate:
     """A Monte Carlo indicator mean with its Wilson-scale standard error."""
@@ -304,9 +241,6 @@ def estimate_event_probs(
     """
     if n_samples < MIN_EVENT_SAMPLES:
         raise ConfigurationError(f"need n_samples >= {MIN_EVENT_SAMPLES}, got {n_samples}")
-    # One generate_stream and one evaluate_events call per sample, not the
-    # block sampler: the benchmark's excursion-mc workload counts its events
-    # and samples at these two calls (perfbench/tracer.py).
     horizon = config.horizon_needed
     rows = np.empty((n_samples, 4), dtype=bool)
     z_hits = []
@@ -350,9 +284,11 @@ def e1_zeta_sweep(
     zetas = sorted(float(z) for z in zetas)
     if zetas[0] <= config.epsilon:
         raise ConfigurationError("every zeta in the sweep must exceed epsilon")
-    paths = _sample_paths(config.params, config.horizon_needed, seed, range(n_samples))
-    required = np.fromiter((_evaluate_path(times, prefix, config)[0] for times, prefix in paths),
-                           dtype=float, count=n_samples)
+    horizon = config.horizon_needed
+    required = np.empty(n_samples)
+    for i in range(n_samples):
+        st = generate_stream(config.params, horizon, replication_seed(seed, i))
+        required[i] = _evaluate_path(st.times, st.prefix, config)[0]
     out = []
     for z in zetas:
         hits = int((required <= z).sum())
@@ -390,11 +326,11 @@ def e5_rate_fit(
             window=w,
         )
         cfg = replace(config, params=params)
-        first = (j + 1) * n_samples
         hits = 0
-        for times, prefix in _sample_paths(params, cfg.horizon_needed, seed,
-                                           range(first, first + n_samples)):
-            z = _evaluate_path(times, prefix, cfg)[3]
+        horizon = cfg.horizon_needed
+        for i in range(n_samples):
+            st = generate_stream(params, horizon, replication_seed(seed, (j + 1) * n_samples + i))
+            z = _evaluate_path(st.times, st.prefix, cfg)[3]
             hits += z is not None and z <= cfg.deadline
         if hits == 0:
             dropped.append(w)

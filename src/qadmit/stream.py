@@ -143,7 +143,8 @@ def generate_stream(
     rate = params.total_rate
     rng = np.random.default_rng(seed)
 
-    chunk = first_chunk_size(rate, horizon)
+    mean_count = rate * horizon
+    chunk = max(int(mean_count + 6.0 * math.sqrt(mean_count) + 16.0), 16)
     chunks: list[np.ndarray] = []
     t_last = 0.0
     while True:
@@ -161,17 +162,6 @@ def generate_stream(
     u = rng.random(times.size)
     marks = np.where(u < params.arrival_fraction, ARRIVAL, TOKEN).astype(np.int64, copy=False)
     return EventStream(times=times, marks=marks, horizon=float(horizon), params=params)
-
-
-def first_chunk_size(rate: float, horizon: float) -> int:
-    """Gaps drawn in one go before the first check against the horizon.
-
-    Six standard deviations above the mean event count, so nearly every
-    stream needs one chunk.  Every sampler that reproduces
-    :func:`generate_stream`'s draws sizes its first chunk here.
-    """
-    mean_count = rate * horizon
-    return max(int(mean_count + 6.0 * math.sqrt(mean_count) + 16.0), 16)
 
 
 def _nudge_ties(times: np.ndarray, horizon: float) -> np.ndarray:

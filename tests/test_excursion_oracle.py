@@ -1,21 +1,21 @@
-"""The block sampler and the one event evaluator against a per-sample oracle.
+"""The one event evaluator and the estimators against a count_events oracle.
 
-The oracle is the per-sample estimator as it was before the block sampler:
-one ``generate_stream`` call per sample, scored with ``count_events``
-lookups.  Every comparison is exact: the sampler must reproduce the
-oracle's draws, indicators, stopping times and sweep triples bit for bit.
+The oracle scores each stream the way the excursion module did before it
+had one evaluator: separate ``count_events`` lookups per marker and
+separate slack, first-passage and indicator functions.  Every comparison
+is exact: indicators, stopping times, sweep triples and e5 points must
+match bit for bit.
 """
 
 import dataclasses
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qadmit import excursion, stream
+from qadmit import excursion
 from qadmit.errors import EstimationError
 from qadmit.excursion import (
     ExcursionConfig,
@@ -110,21 +110,7 @@ def oracle_e5_points(config, windows, n_samples, seed):
     return points, dropped
 
 
-# -- helpers -------------------------------------------------------------------
-
-
-def block_rows(config):
-    chunk = stream.first_chunk_size(config.params.total_rate, config.horizon_needed)
-    return max(1, excursion._BLOCK_ELEMENTS // chunk), chunk
-
-
-def assert_paths_match(config, seed, indices):
-    """The sampler's rows equal generate_stream's arrays, value for value."""
-    paths = list(excursion._sample_paths(config.params, config.horizon_needed, seed, indices))
-    assert len(paths) == len(indices)
-    for (times, prefix), s in zip(paths, oracle_streams(config, seed, indices)):
-        assert np.array_equal(times, s.times)
-        assert np.array_equal(prefix, s.prefix)
+# -- geometries ----------------------------------------------------------------
 
 
 @st.composite
@@ -146,35 +132,27 @@ FLAT_DRIFT = ExcursionConfig(ModelParams(0.9, 0.5, 0.05), k=0.3, epsilon=0.1, ze
                              phi=30.0, q_ref=0.0)  # (U1, U2] is mostly empty
 E5_PRONE = ExcursionConfig(ModelParams(0.9, 0.5, 0.3), k=0.5, epsilon=0.05, zeta=0.1,
                            phi=30.0, q_ref=0.0)  # a shallow barrier: e5 hits at every W
-MC = ExcursionConfig(ModelParams(0.9, 0.5, 2.0), k=2.0, epsilon=0.3, zeta=1.0, phi=40.0,
-                     q_ref=0.1)  # ~123 events per sample
 
 
 # -- differential tests --------------------------------------------------------
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(config=geometries(), seed=st.integers(0, 2**31), rows=st.integers(1, 9),
-       blocks=st.integers(1, 4), offset=st.sampled_from([-1, 0, 1]))
-@example(config=FLAT_DRIFT, seed=3, rows=4, blocks=2, offset=1)
-@example(config=E5_PRONE, seed=3, rows=7, blocks=4, offset=-1)
-def test_block_sampler_matches_oracle(config, seed, rows, blocks, offset):
-    _, chunk = block_rows(config)
-    n_samples = max(1, rows * blocks + offset)  # below, at and above a block multiple
+@given(config=geometries(), seed=st.integers(0, 2**31), n_samples=st.integers(1, 40))
+@example(config=FLAT_DRIFT, seed=3, n_samples=9)
+@example(config=E5_PRONE, seed=3, n_samples=27)
+def test_sweep_and_rate_fit_match_oracle(config, seed, n_samples):
     zetas = [config.epsilon * 1.5, config.zeta, 3.0 * config.zeta + 1.0]
-    with mock.patch.object(excursion, "_BLOCK_ELEMENTS", rows * chunk):
-        assert block_rows(config)[0] == rows
-        assert_paths_match(config, seed, range(5, 5 + n_samples))
-        assert e1_zeta_sweep(config, zetas, n_samples, seed) == oracle_sweep(
-            config, zetas, n_samples, seed)
-        windows = [config.window, 1.5 * config.window, 2.0 * config.window]
-        points, dropped = oracle_e5_points(config, windows, n_samples, seed)
-        if len(points) < 3:
-            with pytest.raises(EstimationError):
-                e5_rate_fit(config, windows, n_samples, seed)
-        else:
-            fit = e5_rate_fit(config, windows, n_samples, seed)
-            assert (fit.points, fit.dropped) == (points, dropped)
+    assert e1_zeta_sweep(config, zetas, n_samples, seed) == oracle_sweep(
+        config, zetas, n_samples, seed)
+    windows = [config.window, 1.5 * config.window, 2.0 * config.window]
+    points, dropped = oracle_e5_points(config, windows, n_samples, seed)
+    if len(points) < 3:
+        with pytest.raises(EstimationError):
+            e5_rate_fit(config, windows, n_samples, seed)
+    else:
+        fit = e5_rate_fit(config, windows, n_samples, seed)
+        assert (fit.points, fit.dropped) == (points, dropped)
 
 
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -205,78 +183,6 @@ def test_scalar_wrappers_match_oracle(config, seed, origin, on_markers):
     assert first_passage(s, config, origin) == oracle_first_passage(s, config, origin)
 
 
-# -- fallback rows -------------------------------------------------------------
-
-
-def test_rows_overflowing_their_first_chunk_go_through_generate_stream():
-    config = MC
-
-    def tiny_chunk(rate, horizon):
-        return max(int(rate * horizon), 16)  # about half the streams need more
-
-    with mock.patch.object(stream, "first_chunk_size", tiny_chunk), \
-            mock.patch.object(excursion, "first_chunk_size", tiny_chunk):
-        lengths = [len(s) for s in oracle_streams(config, 4, range(60))]
-        chunk = tiny_chunk(config.params.total_rate, config.horizon_needed)
-        assert min(lengths) < chunk <= max(lengths)  # both kinds of row occur
-        assert_paths_match(config, 4, range(60))
-        zetas = [0.4, 1.0, 3.0]
-        assert e1_zeta_sweep(config, zetas, 60, 4) == oracle_sweep(config, zetas, 60, 4)
-
-
-_REAL_DEFAULT_RNG = np.random.default_rng
-
-
-class _ZeroGapRng:
-    """A Generator whose first exponential draw has a zero gap at one index."""
-
-    def __init__(self, seed, zero_at):
-        self._rng = _REAL_DEFAULT_RNG(seed)
-        self._zero_at = zero_at
-
-    def _patch(self, x):
-        if self._zero_at is not None:
-            x[self._zero_at] = 0.0
-            self._zero_at = None
-        return x
-
-    def standard_exponential(self, size=None, out=None):
-        return self._patch(self._rng.standard_exponential(size=size, out=out))
-
-    def exponential(self, scale=1.0, size=None):
-        return scale * self.standard_exponential(size=size)
-
-    def random(self, size=None, out=None):
-        return self._rng.random(size=size, out=out)
-
-
-def _zero_gap_rngs(zero_at_by_sample):
-    def factory(seed):
-        index = seed.entropy[1] if isinstance(seed, np.random.SeedSequence) else None
-        return _ZeroGapRng(seed, zero_at_by_sample.get(index))
-
-    return mock.patch.object(np.random, "default_rng", factory)
-
-
-def test_zero_gap_tie_is_nudged_like_the_scalar_path():
-    config = MC
-    with _zero_gap_rngs({2: 5, 4: 1}):
-        nudged = generate_stream(config.params, config.horizon_needed, replication_seed(9, 2))
-        # the tie at index 5 was bumped by one ulp, not dropped
-        assert nudged.times[5] == np.nextafter(nudged.times[4], np.inf)
-        assert_paths_match(config, 9, range(7))
-
-
-def test_zero_first_gap_raises_like_the_scalar_path():
-    config = MC
-    with _zero_gap_rngs({3: 0}):
-        with pytest.raises(ValueError) as scalar:
-            generate_stream(config.params, config.horizon_needed, replication_seed(9, 3))
-        with pytest.raises(ValueError) as block:
-            list(excursion._sample_paths(config.params, config.horizon_needed, 9, range(6)))
-    assert str(block.value) == str(scalar.value) == "event times must lie in (0, horizon]"
-
-
 # -- bounded memory ------------------------------------------------------------
 
 
@@ -297,7 +203,7 @@ CRITERION_05 = ExcursionConfig(ModelParams(0.95, 0.5, 200.0), k=24.0, epsilon=0.
     lambda n: e1_zeta_sweep(CRITERION_05, [5.0, 40.0], n, 1),
     lambda n: estimate_event_probs(CRITERION_05, n, 1),
 ], ids=["e1_zeta_sweep", "estimate_event_probs"])
-def test_sampling_memory_is_bounded_by_the_block_not_n_samples(run):
+def test_sampling_memory_is_bounded_by_one_path_not_n_samples(run):
     small, large = _traced_peak(lambda: run(100)), _traced_peak(lambda: run(300))
     # one (n_samples, chunk) matrix would be ~20 MB at n = 300
     assert large < 4 * 2**20
