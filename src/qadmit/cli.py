@@ -37,6 +37,7 @@ from .excursion import (
     estimate_event_probs,
     reference_queue,
 )
+from .policy import parse_policy_spec
 from .sim import run_simulation
 from .stream import ModelParams, generate_stream, replication_seed
 
@@ -124,6 +125,8 @@ def validate_config(cfg: RunConfig) -> None:
             f"field `lambdas` must lie in ({1.0 - cfg.p}, 1) for kind `{cfg.kind}`"
         )
     _parse_window_rule(cfg.window_rule)
+    if not (cfg.kind == "conserve" and cfg.policy == "auto"):
+        parse_policy_spec(cfg.policy)
     if cfg.seeds < 1:
         raise ConfigurationError(f"field `seeds` must be >= 1, got {cfg.seeds}")
     if cfg.horizon <= 0 or not math.isfinite(cfg.horizon):
@@ -182,7 +185,7 @@ def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in header])
+            writer.writerow([_fmt(row[col]) if col in row else "" for col in header])
 
 
 def _version_string() -> str:
@@ -599,15 +602,26 @@ def run_config(cfg: RunConfig) -> int:
 
 def run_from_config(path) -> int:
     """Load a config file, dispatch it, and map failures to exit codes."""
+    data, code = _read_config(path)
+    if code != EXIT_OK:
+        return code
+    return _run_mapping(data)
+
+
+def _read_config(path):
+    """(parsed JSON, EXIT_OK), or (None, EXIT_PARSE) after reporting why."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh), EXIT_OK
     except json.JSONDecodeError as exc:
         _emit_error(f"config parse error: {exc}", EXIT_PARSE)
-        return EXIT_PARSE
     except OSError as exc:
         _emit_error(f"cannot read config: {exc}", EXIT_PARSE)
-        return EXIT_PARSE
+    return None, EXIT_PARSE
+
+
+def _run_mapping(data) -> int:
+    """Validate a config mapping and run it; the one place failures map to exit codes."""
     try:
         cfg = config_from_mapping(data)
     except (ConfigurationError, TypeError) as exc:
@@ -664,15 +678,9 @@ def main(argv=None) -> int:
 
     data: dict = {}
     if args.config:
-        try:
-            with open(args.config) as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            _emit_error(f"config parse error: {exc}", EXIT_PARSE)
-            return EXIT_PARSE
-        except OSError as exc:
-            _emit_error(f"cannot read config: {exc}", EXIT_PARSE)
-            return EXIT_PARSE
+        data, code = _read_config(args.config)
+        if code != EXIT_OK:
+            return code
     data["kind"] = args.kind
     for key in (
         "p", "window_rule", "policy", "horizon", "seeds", "master_seed", "out_dir",
@@ -686,20 +694,7 @@ def main(argv=None) -> int:
         data["lambdas"] = [float(v) for v in args.lambdas.split(",")]
     if args.c_values is not None:
         data["c_values"] = [float(v) for v in args.c_values.split(",")]
-
-    try:
-        cfg = config_from_mapping(data)
-    except (ConfigurationError, TypeError) as exc:
-        _emit_error(str(exc), EXIT_VALIDATION)
-        return EXIT_VALIDATION
-    try:
-        return run_config(cfg)
-    except ConfigurationError as exc:
-        _emit_error(str(exc), EXIT_VALIDATION)
-        return EXIT_VALIDATION
-    except Exception as exc:  # noqa: BLE001 - harness boundary
-        _emit_error(f"runtime error: {exc}", EXIT_RUNTIME)
-        return EXIT_RUNTIME
+    return _run_mapping(data)
 
 
 if __name__ == "__main__":

@@ -421,13 +421,13 @@ def reference_queue(params: ModelParams, policy_spec: str, seed: int = 0,
     stay visible.
     """
     from .analytic import bd_stationary
-    from .policy import make_policy, min_feasible_threshold
+    from .policy import min_feasible_threshold, parse_policy_spec
 
-    if policy_spec == "threshold:auto":
-        return bd_stationary(params, min_feasible_threshold(params)).mean_queue, "bd-oracle"
-    if policy_spec.startswith("threshold:x="):
-        pol = make_policy(policy_spec, params)
-        return bd_stationary(params, pol.x).mean_queue, "bd-oracle"
+    kind, x = parse_policy_spec(policy_spec)
+    if kind == "threshold":
+        if x is None:
+            x = min_feasible_threshold(params)
+        return bd_stationary(params, x).mean_queue, "bd-oracle"
     st = generate_stream(params, pilot_horizon + params.window, replication_seed(seed, 0))
     _, _, m = run_simulation(st, policy_spec, t_end=pilot_horizon, burn_in=0.2)
     return m.mean_queue_event, "pilot-run"

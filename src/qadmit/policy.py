@@ -187,27 +187,41 @@ class WindowedDrainPolicy:
         return windowed_drain_decide(self.params, self.budget, state)
 
 
-def make_policy(spec: str, params: ModelParams | None = None):
-    """Build a policy from its selection string.
+def parse_policy_spec(spec: str) -> tuple[str, int | None]:
+    """Split a selection string into (kind, threshold) without building anything.
 
-    Accepted forms: ``threshold:x=<int>``, ``threshold:auto``,
-    ``windowed-drain``, ``admit-all``.  The auto threshold and the windowed
-    heuristic need model parameters.
+    Accepted forms: ``threshold:x=<int>`` (x >= 0), ``threshold:auto``,
+    ``windowed-drain``, ``admit-all``.  The threshold is ``None`` for
+    ``threshold:auto`` and for the non-threshold kinds.  Needs no model
+    parameters, so a config can be checked before anything runs.
     """
-    if spec == "admit-all":
-        return AdmitAllPolicy()
-    if spec == "windowed-drain":
-        if params is None:
-            raise ConfigurationError("windowed-drain needs model parameters")
-        return WindowedDrainPolicy(params)
+    if spec in ("admit-all", "windowed-drain"):
+        return spec, None
     if spec == "threshold:auto":
-        if params is None:
-            raise ConfigurationError("threshold:auto needs model parameters")
-        return ThresholdPolicy(min_feasible_threshold(params))
-    if spec.startswith("threshold:x="):
+        return "threshold", None
+    if isinstance(spec, str) and spec.startswith("threshold:x="):
         try:
             x = int(spec.removeprefix("threshold:x="))
         except ValueError as exc:
             raise ConfigurationError(f"bad threshold in policy spec {spec!r}") from exc
-        return ThresholdPolicy(x)
+        if x < 0:
+            raise ConfigurationError(f"threshold must be >= 0, got {x}")
+        return "threshold", x
     raise ConfigurationError(f"unknown policy spec {spec!r}")
+
+
+def make_policy(spec: str, params: ModelParams | None = None):
+    """Build a policy from its selection string (see :func:`parse_policy_spec`).
+
+    The auto threshold and the windowed heuristic need model parameters.
+    """
+    kind, x = parse_policy_spec(spec)
+    if kind == "admit-all":
+        return AdmitAllPolicy()
+    if x is not None:
+        return ThresholdPolicy(x)
+    if params is None:
+        raise ConfigurationError(f"{spec} needs model parameters")
+    if kind == "windowed-drain":
+        return WindowedDrainPolicy(params)
+    return ThresholdPolicy(min_feasible_threshold(params))

@@ -49,6 +49,11 @@ class QueueTrajectory:
     ``pre_event_queue[n]`` is Q just before event n, ``post_event_queue[n]``
     just after; the path is right-continuous and equals ``initial`` before
     the first event.  Covers events up to ``t_end``.
+
+    From :func:`run_simulation` both arrays are int64 views of one path
+    buffer ``[initial, Q after event 1, ...]``: ``pre_event_queue`` is
+    ``path[:-1]`` and ``post_event_queue`` is ``path[1:]``.  Treat them as
+    read-only; writing to one changes the other.
     """
 
     initial: int
@@ -85,22 +90,35 @@ class SimMetrics:
     n_burned: int
 
 
-def _simulate_admit_all(marks: np.ndarray, q0: int):
+# Each kernel below fills path[1:] (the post-event queue) of an int64
+# buffer whose path[0] already holds q0, and returns the int8 decisions.
+
+
+def _free_walk(marks: np.ndarray, path: np.ndarray) -> np.ndarray:
+    """Write q0 + S (widened before it is summed) into path[1:]; return that view."""
+    walk = path[1:]
+    walk[...] = marks
+    walk.cumsum(out=walk)
+    walk += path[0]
+    return walk
+
+
+def _simulate_admit_all(marks: np.ndarray, path: np.ndarray) -> np.ndarray:
     # Lindley recursion in closed form: reflection lifts the free walk by
     # the running amount of wasted tokens.
-    base = q0 + np.cumsum(marks)
-    lift = -np.minimum(np.minimum.accumulate(base), 0)
-    post = base + lift
-    pre = np.empty_like(post)
-    pre[0] = q0
-    pre[1:] = post[:-1]
-    return pre, post, np.zeros(marks.size, dtype=np.int8)
+    base = _free_walk(marks, path)
+    low = np.minimum.accumulate(base)
+    np.minimum(low, 0, out=low)
+    base -= low
+    return np.zeros(marks.size, dtype=np.int8)
 
 
 def _clip_scan(marks: np.ndarray, q: int, x: int) -> np.ndarray:
     """Post-event path of q -> clip(q + m, 0, x) from a start q in [0, x].
 
-    A composition of such maps is again clip(q + a, lo, hi), with a the mark
+    The path comes back in the narrow scan dtype (int16 unless x or the
+    block is large); assigning it into an int64 buffer widens it.  A
+    composition of such maps is again clip(q + a, lo, hi), with a the mark
     sum and lo, hi the clipped walk started from 0 and from x.  The marks
     are cut into about sqrt(n) blocks; each block's prefix maps are built
     for all blocks at once (one vector step per column), a short pass
@@ -133,27 +151,22 @@ def _clip_scan(marks: np.ndarray, q: int, x: int) -> np.ndarray:
         q = min(max(q + a_end[i], lo_end[i]), hi_end[i])
     shift += np.array(starts, dtype=dt)
     np.clip(shift, bounds[:, 0], bounds[:, 1], out=shift)
-    post = np.empty((nb, b), dtype=np.int64)
-    post.T[...] = shift
-    return post.reshape(-1)[:n]
+    return shift.T.reshape(-1)[:n]
 
 
-def _simulate_threshold(marks: np.ndarray, q0: int, x: int):
-    n = marks.size
+def _simulate_threshold(marks: np.ndarray, path: np.ndarray, x: int) -> np.ndarray:
+    q0 = int(path[0])
     if q0 > x:
         # above x every arrival is admitted: the path is the free walk
-        # q0 + S, which moves by +-1 and stays >= 1 until it first equals x
-        free = q0 + np.cumsum(marks, dtype=np.int64)
-        hit = free == x
-        k = int(hit.argmax()) + 1 if hit.any() else n
-        post = free if k == n else np.concatenate((free[:k], _clip_scan(marks[k:], x, x)))
+        # q0 + S, which moves by +-1 and stays >= 1 until it first equals x;
+        # from there the scan overwrites the rest of it
+        free = _free_walk(marks, path)
+        k = int((free == x).argmax())
+        if free[k] == x and k + 1 < marks.size:
+            free[k + 1 :] = _clip_scan(marks[k + 1 :], x, x)
     else:
-        post = _clip_scan(marks, q0, x)
-    pre = np.empty_like(post)
-    pre[0] = q0
-    pre[1:] = post[:-1]
-    hs = ((marks == 1) & (pre == x)).view(np.int8)
-    return pre, post, hs
+        path[1:] = _clip_scan(marks, q0, x)
+    return ((marks == 1) & (path[:-1] == x)).view(np.int8)
 
 
 def _window_end_indices(times: np.ndarray, window: float, n_sim: int) -> np.ndarray:
@@ -188,7 +201,8 @@ def _sliding_prefix_min(prefix: np.ndarray, ends: np.ndarray) -> list:
     return mins
 
 
-def _simulate_windowed_drain(stream: EventStream, policy, q0: int, n_sim: int):
+def _simulate_windowed_drain(stream: EventStream, policy, path: np.ndarray) -> np.ndarray:
+    n_sim = path.size - 1
     params = policy.params
     w = params.window
     ends = _window_end_indices(stream.times, w, n_sim)
@@ -197,16 +211,13 @@ def _simulate_windowed_drain(stream: EventStream, policy, q0: int, n_sim: int):
     times_l = stream.times[:n_sim].tolist()
     marks_l = stream.marks[:n_sim].tolist()
 
-    pre = np.empty(n_sim, dtype=np.int64)
-    post = np.empty(n_sim, dtype=np.int64)
     hs = np.zeros(n_sim, dtype=np.int8)
-    q = q0
+    q = int(path[0])
     cap = policy.budget.cap
     rate = params.divert_budget
     tokens = policy.budget.tokens
     last_t = policy.budget.last_time
     for i in range(n_sim):
-        pre[i] = q
         if marks_l[i] == 1:
             t = times_l[i]
             if t > last_t:
@@ -225,23 +236,21 @@ def _simulate_windowed_drain(stream: EventStream, policy, q0: int, n_sim: int):
                 q += 1
         elif q > 0:
             q -= 1
-        post[i] = q
+        path[i + 1] = q
     policy.budget.tokens = tokens
     policy.budget.last_time = last_t
-    return pre, post, hs
+    return hs
 
 
-def _simulate_generic(stream: EventStream, policy, q0: int, n_sim: int):
+def _simulate_generic(stream: EventStream, policy, path: np.ndarray) -> np.ndarray:
+    n_sim = path.size - 1
     w = float(getattr(policy, "lookahead", 0.0))
     times = stream.times
     marks_l = stream.marks[:n_sim].tolist()
     ends = _window_end_indices(times, w, n_sim)
-    pre = np.empty(n_sim, dtype=np.int64)
-    post = np.empty(n_sim, dtype=np.int64)
     hs = np.zeros(n_sim, dtype=np.int8)
-    q = q0
+    q = int(path[0])
     for i in range(n_sim):
-        pre[i] = q
         mk = marks_l[i]
         if mk == 1:
             t = float(times[i])
@@ -253,8 +262,8 @@ def _simulate_generic(stream: EventStream, policy, q0: int, n_sim: int):
                 q += 1
         elif q > 0:
             q -= 1
-        post[i] = q
-    return pre, post, hs
+        path[i + 1] = q
+    return hs
 
 
 def run_simulation(
@@ -282,23 +291,23 @@ def run_simulation(
         t_end = stream.horizon
     n_sim = count_events(stream, t_end)
 
+    path = np.empty(n_sim + 1, dtype=np.int64)
+    path[0] = q0
     if n_sim == 0:
-        pre = np.empty(0, dtype=np.int64)
-        post = np.empty(0, dtype=np.int64)
         hs = np.zeros(0, dtype=np.int8)
     elif isinstance(policy, AdmitAllPolicy):
-        pre, post, hs = _simulate_admit_all(stream.marks[:n_sim], q0)
+        hs = _simulate_admit_all(stream.marks[:n_sim], path)
     elif isinstance(policy, ThresholdPolicy):
-        pre, post, hs = _simulate_threshold(stream.marks[:n_sim], q0, policy.x)
+        hs = _simulate_threshold(stream.marks[:n_sim], path, policy.x)
     elif isinstance(policy, WindowedDrainPolicy):
-        pre, post, hs = _simulate_windowed_drain(stream, policy, q0, n_sim)
+        hs = _simulate_windowed_drain(stream, policy, path)
     elif hasattr(policy, "decide"):
-        pre, post, hs = _simulate_generic(stream, policy, q0, n_sim)
+        hs = _simulate_generic(stream, policy, path)
     else:
         raise ConfigurationError(f"policy handle {policy!r} has no decide()")
 
     trajectory = QueueTrajectory(
-        initial=q0, pre_event_queue=pre, post_event_queue=post, t_end=float(t_end)
+        initial=q0, pre_event_queue=path[:-1], post_event_queue=path[1:], t_end=float(t_end)
     )
     trace = DecisionTrace(decisions=hs)
     metrics = _compute_metrics(stream, trajectory, trace, burn_in)
@@ -328,15 +337,23 @@ def _compute_metrics(
         )
 
     n_burn = int(burn_in * n)
-    t_start = float(stream.times[n_burn - 1]) if n_burn >= 1 else 0.0
+    n_used = n - n_burn
+    times = stream.times
+    t_start = float(times[n_burn - 1]) if n_burn >= 1 else 0.0
     mean_event = float(pre[n_burn:].mean())
 
-    bounds = np.concatenate(([t_start], stream.times[n_burn:n], [t_end]))
-    values = np.concatenate(([post[n_burn - 1] if n_burn >= 1 else trajectory.initial], post[n_burn:]))
-    dts = np.diff(bounds)
-    mean_time = float((values * dts).sum() / (t_end - t_start))
+    # queue-weighted segment lengths between t_start, the used epochs and
+    # t_end, built in one buffer; the same products in the same order as
+    # diff() of the bounds times the segment values
+    dts = np.empty(n_used + 1)
+    if n_used:
+        dts[0] = times[n_burn] - t_start
+        np.subtract(times[n_burn + 1 : n], times[n_burn : n - 1], out=dts[1:n_used])
+    dts[n_used] = t_end - times[n - 1]
+    dts[0] *= post[n_burn - 1] if n_burn >= 1 else trajectory.initial
+    dts[1:] *= post[n_burn:]
+    mean_time = float(dts.sum() / (t_end - t_start))
 
-    n_used = n - n_burn
     if stream.params is not None:
         event_rate = stream.params.total_rate
     else:

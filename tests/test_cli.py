@@ -290,6 +290,34 @@ def test_excursion_geometry_rejected_before_any_file(tmp_path, capsys, kind, arg
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("kind, args, message", [
+    ("simulate", ["--policy", "bogus", "--horizon", "100", "--seeds", "1"], "unknown policy"),
+    ("simulate", ["--policy", "threshold:x=-1"], "threshold must be >= 0"),
+    ("phase", ["--policy", "threshold:x=abc"], "bad threshold"),
+    ("phase", ["--policy", "auto"], "unknown policy"),
+    ("conserve", ["--policy", "threshold:auto:x"], "unknown policy"),
+    ("excursion", ["--policy", "bogus", "--window-rule", "constant:2"], "unknown policy"),
+    ("diagnostic", ["--policy", "windowed", "--window-rule", "constant:2"], "unknown policy"),
+])
+def test_policy_spec_rejected_before_any_file(tmp_path, capsys, kind, args, message):
+    # the excursion case leaves q_ref unset, so the policy would pick it at run time
+    out = tmp_path / kind
+    assert main([kind, "--p", "0.5", "--lambdas", "0.9", "--out", str(out), *args]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit"] == EXIT_VALIDATION
+    assert message in err["error"]
+    assert not (out / "manifest.json").exists()
+
+
+def test_auto_policy_is_conserve_only():
+    base = dict(p=0.5, lambdas=[0.9], policy="auto")
+    assert config_from_mapping(base | {"kind": "conserve"}).policy == "auto"
+    with pytest.raises(ConfigurationError, match="unknown policy"):
+        config_from_mapping(base | {"kind": "simulate"})
+    with pytest.raises(ConfigurationError, match="unknown policy"):
+        config_from_mapping({"kind": "simulate", "p": 0.5, "lambdas": [0.9], "policy": 3})
+
+
 def test_diagnostic_json(tmp_path):
     cfg = RunConfig(
         kind="diagnostic", p=0.5, lambdas=(0.9,), window_rule="constant:1",

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +8,9 @@ from hypothesis import strategies as st
 
 from qadmit.analytic import bd_stationary
 from qadmit.errors import ConfigurationError, OutOfRangeError
-from qadmit.policy import ThresholdPolicy, WindowedDrainPolicy
+from qadmit.policy import AdmitAllPolicy, ThresholdPolicy, WindowedDrainPolicy
 from qadmit.sim import (
+    SimMetrics,
     flow_identity_residual,
     flow_identity_residuals,
     last_low_time,
@@ -14,7 +18,7 @@ from qadmit.sim import (
     run_simulation,
     window_diversions,
 )
-from qadmit.stream import EventStream, ModelParams, generate_stream, replication_seed
+from qadmit.stream import EventStream, ModelParams, count_events, generate_stream, replication_seed
 
 PARAMS = ModelParams(0.9, 0.5, window=4.0)
 
@@ -344,6 +348,15 @@ def test_threshold_scan_above_x_reaching_and_never_reaching():
     _assert_threshold_matches_generic([1], q0=2, x=0)
 
 
+def test_int8_marks_widen_before_the_walk_is_summed():
+    # the free walk climbs past the int8 range before it comes back down
+    marks = [1] * 300 + [-1] * 400
+    _assert_threshold_matches_generic(marks, q0=3, x=2)
+    s = EventStream(np.arange(1.0, 701.0), marks, 701.0)
+    traj, _, _ = run_simulation(s, "admit-all", q0=3)
+    assert traj.post_event_queue.max() == 303 and traj.post_event_queue[-1] == 0
+
+
 def test_threshold_scan_wide_dtype():
     # x + block length >= 2**15 forces int64 intermediates
     big = 2**15
@@ -351,3 +364,100 @@ def test_threshold_scan_wide_dtype():
     _assert_threshold_matches_generic(marks, q0=big - 4, x=big - 3)
     _assert_threshold_matches_generic(marks, q0=big + 2, x=big)
     _assert_threshold_matches_generic([-1, -1, -1, 1, 1], q0=big + 3, x=big)
+
+
+# -- the one-buffer data path ---------------------------------------------------
+
+
+def _oracle_metrics(stream, traj, trace, burn_in):
+    """The metrics computed with fresh arrays: concatenated bounds, diff, product."""
+    pre, post, hs = traj.pre_event_queue, traj.post_event_queue, trace.decisions
+    n, t_end = pre.size, traj.t_end
+    wasted = int(((stream.marks[:n] == -1) & (pre == 0)).sum())
+    n_burn = int(burn_in * n)
+    t_start = float(stream.times[n_burn - 1]) if n_burn >= 1 else 0.0
+    bounds = np.concatenate(([t_start], stream.times[n_burn:n], [t_end]))
+    values = np.concatenate(([post[n_burn - 1] if n_burn >= 1 else traj.initial], post[n_burn:]))
+    n_used = n - n_burn
+    if stream.params is not None:
+        rate = stream.params.total_rate
+    else:
+        rate = n_used / (t_end - t_start) if t_end > t_start else 0.0
+    return SimMetrics(
+        mean_queue_event=float(pre[n_burn:].mean()),
+        mean_queue_time=float((values * np.diff(bounds)).sum() / (t_end - t_start)),
+        diversion_rate=rate * float(hs[n_burn:].sum()) / n_used if n_used else 0.0,
+        wasted_count=wasted,
+        wasted_rate=wasted / t_end if t_end > 0 else 0.0,
+        n_events=n,
+        n_burned=n_burn,
+    )
+
+
+def _assert_metrics_match_oracle(s, policy, q0, t_end, burn_in):
+    traj, trace, m = run_simulation(s, policy, q0=q0, t_end=t_end, burn_in=burn_in)
+    want = _oracle_metrics(s, traj, trace, burn_in)
+    for f in dataclasses.fields(SimMetrics):
+        assert getattr(m, f.name) == getattr(want, f.name), f.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    gaps=st.lists(st.floats(0.01, 3.0), min_size=1, max_size=600),
+    data=st.data(),
+    q0=st.integers(0, 8),
+    burn_in=st.sampled_from([0.0, 0.1, 0.999]),
+    past_end=st.booleans(),
+    policy=st.sampled_from(["admit-all", "threshold:x=0", "threshold:x=3"]),
+)
+def test_metrics_match_fresh_array_oracle(gaps, data, q0, burn_in, past_end, policy):
+    times = np.cumsum(gaps)
+    marks = data.draw(st.lists(st.sampled_from([1, -1]), min_size=len(gaps), max_size=len(gaps)))
+    horizon = float(times[-1]) + (1.5 if past_end else 0.0)
+    s = EventStream(times, marks, horizon)
+    _assert_metrics_match_oracle(s, policy, q0, horizon, burn_in)
+
+
+@pytest.mark.parametrize("burn_in", [0.0, 0.1, 0.999])
+@pytest.mark.parametrize("q0", [0, 5])
+def test_metrics_match_oracle_on_generated_streams(burn_in, q0):
+    # long enough for numpy's pairwise summation to block the sum
+    s = generate_stream(ModelParams(0.96875, 0.5), 5000.0, seed=11)
+    _assert_metrics_match_oracle(s, "threshold:auto", q0, 5000.0, burn_in)
+    _assert_metrics_match_oracle(s, "admit-all", q0, float(s.times[-1]), burn_in)
+    _assert_metrics_match_oracle(s, "threshold:x=2", q0, float(s.times[0]), burn_in)
+
+
+@pytest.mark.parametrize("policy, q0", [
+    ("admit-all", 3),
+    ("threshold:x=4", 1),
+    ("threshold:x=4", 4),
+    ("threshold:x=2", 7),  # q0 > x, reaches x
+    ("threshold:x=0", 400),  # q0 > x, never reaches x
+    ("windowed-drain", 2),
+    (_Delegating(AdmitAllPolicy()), 2),
+])
+def test_pre_and_post_are_one_int64_path(policy, q0):
+    s = generate_stream(PARAMS, 300.0 + PARAMS.window, seed=5)
+    traj, _, _ = run_simulation(s, policy, q0=q0, t_end=300.0)
+    pre, post = traj.pre_event_queue, traj.post_event_queue
+    assert pre.dtype == post.dtype == np.int64
+    assert pre.size == post.size == count_events(s, 300.0)
+    assert pre[0] == q0
+    assert np.array_equal(pre[1:], post[:-1])
+    assert np.shares_memory(pre, post)
+
+
+def test_threshold_run_memory_per_event():
+    # stream (8 + 1 + 8 B/event) plus one int64 path buffer and the
+    # transient scan and metric arrays; fresh arrays per step took ~71
+    params = ModelParams(1 - 2**-5, 0.5)
+    run_simulation(generate_stream(params, 100.0, seed=0), "threshold:auto")  # warm caches
+    tracemalloc.start()
+    try:
+        s = generate_stream(params, 1e5, seed=3)
+        run_simulation(s, "threshold:auto")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(s) <= 48.0

@@ -45,6 +45,77 @@ def test_stream_invariants_enforced():
         EventStream(np.array([0.0]), np.array([1]), 5.0)
 
 
+@pytest.mark.parametrize("bad", [255, 257, -255, 0, 2.0])
+@pytest.mark.parametrize("form", ["int64", "float", "list"])
+def test_out_of_range_marks_rejected_before_narrowing(form, bad):
+    # int8 would wrap 255 to -1 and 257 to 1: the check must see the wide value
+    marks = [1, bad, -1]
+    if form == "int64":
+        marks = np.array(marks, dtype=np.int64)
+    elif form == "float":
+        marks = np.array(marks, dtype=np.float64)
+    with pytest.raises(ValueError, match="marks"):
+        EventStream(np.array([1.0, 2.0, 3.0]), marks, 5.0)
+
+
+@pytest.mark.parametrize("marks", [
+    [1, -1, -1, 1, 1],
+    np.array([1, -1, -1, 1, 1], dtype=np.int64),
+    np.array([1.0, -1.0, -1.0, 1.0, 1.0]),
+    np.array([1, -1, -1, 1, 1], dtype=np.int8),
+])
+def test_marks_stored_int8_with_int64_prefix(marks):
+    s = EventStream(np.arange(1.0, 6.0), marks, 6.0)
+    assert s.marks.dtype == np.int8 and s.marks.tolist() == [1, -1, -1, 1, 1]
+    assert s.prefix.dtype == np.int64
+    assert s.prefix.tolist() == [0, *np.cumsum(np.asarray(marks, dtype=np.int64)).tolist()]
+
+
+def test_generated_stream_dtypes_and_prefix():
+    s = generate_stream(PARAMS, 2e4, seed=9)
+    assert s.times.dtype == np.float64 and s.marks.dtype == np.int8
+    assert set(np.unique(s.marks).tolist()) == {-1, 1}
+    wide = np.cumsum(s.marks.astype(np.int64))
+    assert s.prefix.dtype == np.int64 and s.prefix[0] == 0
+    assert np.array_equal(s.prefix[1:], wide)
+
+
+class _ShortGaps(np.random.Generator):
+    """Halves every gap, so the first chunk ends before the horizon."""
+
+    def exponential(self, scale=1.0, size=None):
+        return super().exponential(scale, size) * 0.5
+
+
+def _out_of_place_build(params, horizon, rng):
+    # fresh arrays at every step: t_last + cumsum(gaps) per chunk, np.where marks
+    rate = params.total_rate
+    mean = rate * horizon
+    chunk = max(int(mean + 6.0 * math.sqrt(mean) + 16.0), 16)
+    chunks, t_last = [], 0.0
+    while t_last <= horizon:
+        chunks.append(t_last + rng.exponential(scale=1.0 / rate, size=chunk).cumsum())
+        t_last = float(chunks[-1][-1])
+        chunk = max(chunk // 4, 16)
+    times = np.concatenate(chunks)
+    times = times[: times.searchsorted(horizon, side="right")]
+    return times, np.where(rng.random(times.size) < params.arrival_fraction, 1, -1), len(chunks)
+
+
+@pytest.mark.parametrize("seed, horizon, short", [
+    (0, 0.5, False), (1, 30.0, False), (2, 5e4, False), (3, 1000.0, True),
+])
+def test_generate_stream_matches_out_of_place_build(seed, horizon, short):
+    def rng():
+        return _ShortGaps(np.random.PCG64(seed)) if short else np.random.default_rng(seed)
+
+    times, marks, chunks = _out_of_place_build(PARAMS, horizon, rng())
+    assert (chunks > 1) == short
+    s = generate_stream(PARAMS, horizon, rng())
+    assert s.times.tobytes() == times.tobytes()
+    assert np.array_equal(s.marks, marks)
+
+
 def test_determinism_byte_identical():
     a = generate_stream(PARAMS, 1e4, seed=123)
     b = generate_stream(PARAMS, 1e4, seed=123)
