@@ -9,59 +9,26 @@ and lookahead diversion policies, an exact discrete-event simulator with a
 pathwise flow identity, closed-form birth-death oracles with the
 heavy-traffic scaling table, and Monte Carlo machinery for the rare
 excursion events behind the lookahead lower bound.
+
+The top level exports what the demos and the README use; everything else
+is imported from its submodule (``qadmit.policy``, ``qadmit.sim``, ...).
 """
 
-from .analytic import (
-    BirthDeathSolution,
-    LdpRateFit,
-    ScalingRow,
-    bd_stationary,
-    ldp_rate_estimate,
-    online_scaling_table,
-    poisson_tail,
-)
+from .analytic import bd_stationary, ldp_rate_estimate, online_scaling_table, poisson_tail
 from .errors import ConfigurationError, EstimationError, OutOfRangeError
 from .excursion import (
-    EventIndicators,
     ExcursionConfig,
-    ExcursionReport,
-    RateFit,
     diversion_idling_diagnostic,
     e1_zeta_sweep,
     e5_rate_fit,
     estimate_event_probs,
-    evaluate_events,
     reference_queue,
 )
-from .policy import (
-    AdmitAllPolicy,
-    BudgetState,
-    DecisionTrace,
-    PolicyState,
-    ThresholdPolicy,
-    WindowedDrainPolicy,
-    admit_all_decide,
-    make_policy,
-    min_feasible_threshold,
-    threshold_decide,
-    windowed_drain_decide,
-)
-from .sim import (
-    QueueTrajectory,
-    SimMetrics,
-    flow_identity_residual,
-    flow_identity_residuals,
-    last_low_time,
-    occupancy_fraction,
-    run_simulation,
-    window_diversions,
-)
+from .policy import PolicyState, min_feasible_threshold
+from .sim import flow_identity_residuals, run_simulation
 from .stream import (
-    ARRIVAL,
-    TOKEN,
     EventStream,
     ModelParams,
-    count_events,
     generate_stream,
     net_input,
     replication_seed,
@@ -70,45 +37,23 @@ from .stream import (
 )
 
 __all__ = [
-    "ARRIVAL",
-    "TOKEN",
-    "AdmitAllPolicy",
-    "BirthDeathSolution",
-    "BudgetState",
     "ConfigurationError",
-    "DecisionTrace",
     "EstimationError",
-    "EventIndicators",
     "EventStream",
     "ExcursionConfig",
-    "ExcursionReport",
-    "LdpRateFit",
     "ModelParams",
     "OutOfRangeError",
     "PolicyState",
-    "QueueTrajectory",
-    "RateFit",
-    "ScalingRow",
-    "SimMetrics",
-    "ThresholdPolicy",
-    "WindowedDrainPolicy",
-    "admit_all_decide",
     "bd_stationary",
-    "count_events",
     "diversion_idling_diagnostic",
     "e1_zeta_sweep",
     "e5_rate_fit",
     "estimate_event_probs",
-    "evaluate_events",
-    "flow_identity_residual",
     "flow_identity_residuals",
     "generate_stream",
-    "last_low_time",
     "ldp_rate_estimate",
-    "make_policy",
     "min_feasible_threshold",
     "net_input",
-    "occupancy_fraction",
     "online_scaling_table",
     "poisson_tail",
     "reference_queue",
@@ -116,7 +61,4 @@ __all__ = [
     "run_simulation",
     "running_extreme",
     "stream_to_csv",
-    "threshold_decide",
-    "window_diversions",
-    "windowed_drain_decide",
 ]

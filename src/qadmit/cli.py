@@ -221,52 +221,99 @@ def _write_manifest(cfg: RunConfig, out_dir: Path) -> None:
         fh.write("\n")
 
 
-def _cell_seed(master_seed: int, cell_idx: int, rep_idx: int):
-    return replication_seed(master_seed, cell_idx, rep_idx)
+def _simulate_cell(task: tuple) -> dict:
+    """One (cell, seed) simulation; module-level so worker pools can pickle it.
 
-
-def _simulate_cell(task: dict) -> dict:
-    """One (cell, seed) simulation; module-level so worker pools can pickle it."""
-    params = ModelParams(task["lambda"], task["p"], task["window"])
+    Returns the seed's summary row.  With a trajectory directory set, the
+    run's per-event path is written there as well.
+    """
+    cfg, cell_idx, rep_idx, (lam, window, policy), trajectory_dir = task
     stream = generate_stream(
-        params,
-        task["horizon"] + task["window"],
-        _cell_seed(task["master_seed"], task["cell_idx"], task["rep_idx"]),
+        ModelParams(lam, cfg.p, window),
+        cfg.horizon + window,
+        replication_seed(cfg.master_seed, cell_idx, rep_idx),
     )
     traj, trace, m = run_simulation(
-        stream, task["policy"], q0=task["q0"], t_end=task["horizon"], burn_in=task["burn_in"]
+        stream, policy, q0=cfg.q0, t_end=cfg.horizon, burn_in=cfg.burn_in
     )
+    if trajectory_dir is not None:
+        rows = [
+            {
+                "n": i + 1,
+                "time": float(stream.times[i]),
+                "mark": int(stream.marks[i]),
+                "H": int(trace.decisions[i]),
+                "Q_pre": int(traj.pre_event_queue[i]),
+                "Q_post": int(traj.post_event_queue[i]),
+            }
+            for i in range(traj.pre_event_queue.size)
+        ]
+        _write_csv(trajectory_dir / f"trajectory_lam{cell_idx}_seed{rep_idx}.csv",
+                   ["n", "time", "mark", "H", "Q_pre", "Q_post"], rows)
     return {
-        "cell_idx": task["cell_idx"],
-        "rep_idx": task["rep_idx"],
+        "seed": rep_idx,
         "n_events": m.n_events,
         "mean_queue_event": m.mean_queue_event,
         "mean_queue_time": m.mean_queue_time,
         "diversion_rate": m.diversion_rate,
         "wasted_rate": m.wasted_rate,
-        "wasted_count": m.wasted_count,
     }
 
 
-def _run_tasks(tasks: list[dict], workers: int | None) -> list[dict]:
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = min(workers, max(len(tasks), 1))
-    if workers <= 1 or len(tasks) <= 1:
+def _run_grid(cfg: RunConfig, cells: list[tuple[float, float, str]],
+              trajectory_dir: Path | None = None) -> list[list[dict]]:
+    """Run `cfg.seeds` replications of each (lambda, window, policy) cell.
+
+    Returns the summary rows grouped by cell, in seed order.  Each task is
+    seeded by its (cell, seed) index and ``pool.map`` keeps task order, so
+    the results do not depend on the worker count.
+    """
+    tasks = [
+        (cfg, ci, ri, cell, trajectory_dir)
+        for ci, cell in enumerate(cells)
+        for ri in range(cfg.seeds)
+    ]
+    workers = min(cfg.workers or os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
         results = [_simulate_cell(t) for t in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_simulate_cell, tasks, chunksize=1))
-    results.sort(key=lambda r: (r["cell_idx"], r["rep_idx"]))
-    return results
+    return [results[ci * cfg.seeds : (ci + 1) * cfg.seeds] for ci in range(len(cells))]
 
 
-def _aggregate(values: list[float]) -> tuple[float, float | None]:
-    mean = sum(values) / len(values)
-    if len(values) < 2:
-        return mean, None
-    var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-    return mean, 1.96 * math.sqrt(var / len(values))
+def _feasible_lambdas(cfg: RunConfig) -> list[float]:
+    """The overload-feasible lambdas of a sweep; each one skipped is logged."""
+    feasible = []
+    for lam in cfg.lambdas:
+        if 1.0 - cfg.p < lam < 1.0:
+            feasible.append(lam)
+        else:
+            logger.warning("skipping infeasible cell lambda=%s (needs > %s)", lam, 1.0 - cfg.p)
+    return feasible
+
+
+_SUMMARY_MEANS = (
+    "n_events", "mean_queue_event", "mean_queue_time", "diversion_rate", "wasted_rate",
+)
+
+
+def _cell_rows(base: dict, results: list[dict]) -> list[dict]:
+    """A cell's per-seed rows, then its aggregate row of seed means.
+
+    The aggregate row carries a 95% halfwidth for the mean queue (none for
+    a single seed).
+    """
+    n = len(results)
+    agg = {key: sum(r[key] for r in results) / n for key in _SUMMARY_MEANS}
+    halfwidth = None
+    if n >= 2:
+        mean = agg["mean_queue_event"]
+        var = sum((r["mean_queue_event"] - mean) ** 2 for r in results) / (n - 1)
+        halfwidth = 1.96 * math.sqrt(var / n)
+    rows = [base | r | {"ci_halfwidth": None, "aggregate_flag": 0} for r in results]
+    rows.append(base | agg | {"seed": None, "ci_halfwidth": halfwidth, "aggregate_flag": 1})
+    return rows
 
 
 PHASE_COLUMNS = [
@@ -279,49 +326,14 @@ PHASE_COLUMNS = [
 def phase_sweep(cfg: RunConfig) -> list[dict]:
     """Per-(lambda, seed) simulation rows plus one aggregate row per cell."""
     rule = _parse_window_rule(cfg.window_rule)
-    cells = []
-    for lam in cfg.lambdas:
-        if not (1.0 - cfg.p < lam < 1.0):
-            logger.warning("skipping infeasible cell lambda=%s (needs > %s)", lam, 1.0 - cfg.p)
-            continue
-        cells.append((lam, rule(lam)))
-    tasks = [
-        {
-            "lambda": lam, "p": cfg.p, "window": window, "policy": cfg.policy,
-            "horizon": cfg.horizon, "q0": cfg.q0, "burn_in": cfg.burn_in,
-            "master_seed": cfg.master_seed, "cell_idx": ci, "rep_idx": ri,
-        }
-        for ci, (lam, window) in enumerate(cells)
-        for ri in range(cfg.seeds)
-    ]
-    results = _run_tasks(tasks, cfg.workers)
-
+    cells = [(lam, rule(lam), cfg.policy) for lam in _feasible_lambdas(cfg)]
     rows: list[dict] = []
-    for ci, (lam, window) in enumerate(cells):
-        cell_rows = [r for r in results if r["cell_idx"] == ci]
+    for (lam, window, policy), results in zip(cells, _run_grid(cfg, cells)):
         base = {
             "lambda": lam, "p": cfg.p, "window_rule": cfg.window_rule,
-            "window": window, "policy": cfg.policy,
+            "window": window, "policy": policy,
         }
-        for r in cell_rows:
-            rows.append(base | {
-                "seed": r["rep_idx"], "n_events": r["n_events"],
-                "mean_queue_event": r["mean_queue_event"],
-                "mean_queue_time": r["mean_queue_time"],
-                "diversion_rate": r["diversion_rate"],
-                "wasted_rate": r["wasted_rate"],
-                "ci_halfwidth": None, "aggregate_flag": 0,
-            })
-        mean_q, ci_hw = _aggregate([r["mean_queue_event"] for r in cell_rows])
-        rows.append(base | {
-            "seed": None,
-            "n_events": sum(r["n_events"] for r in cell_rows) / len(cell_rows),
-            "mean_queue_event": mean_q,
-            "mean_queue_time": sum(r["mean_queue_time"] for r in cell_rows) / len(cell_rows),
-            "diversion_rate": sum(r["diversion_rate"] for r in cell_rows) / len(cell_rows),
-            "wasted_rate": sum(r["wasted_rate"] for r in cell_rows) / len(cell_rows),
-            "ci_halfwidth": ci_hw, "aggregate_flag": 1,
-        })
+        rows += _cell_rows(base, results)
     return rows
 
 
@@ -337,52 +349,27 @@ def conservation_sweep(cfg: RunConfig) -> list[dict]:
     With the policy set to ``auto``, zero-window cells run the online
     threshold policy and positive windows run the lookahead heuristic.
     """
-    cells = []
-    for lam in cfg.lambdas:
-        if not (1.0 - cfg.p < lam < 1.0):
-            logger.warning("skipping infeasible cell lambda=%s (needs > %s)", lam, 1.0 - cfg.p)
-            continue
+    grid = []
+    for lam in _feasible_lambdas(cfg):
         for c in cfg.c_values:
             window = c * math.log(1.0 / (1.0 - lam))
             if cfg.policy == "auto":
                 policy = "threshold:auto" if window == 0.0 else "windowed-drain"
             else:
                 policy = cfg.policy
-            cells.append((lam, c, window, policy))
-    tasks = [
-        {
-            "lambda": lam, "p": cfg.p, "window": window, "policy": policy,
-            "horizon": cfg.horizon, "q0": cfg.q0, "burn_in": cfg.burn_in,
-            "master_seed": cfg.master_seed, "cell_idx": ci, "rep_idx": ri,
-        }
-        for ci, (lam, c, window, policy) in enumerate(cells)
-        for ri in range(cfg.seeds)
-    ]
-    results = _run_tasks(tasks, cfg.workers)
+            grid.append((c, (lam, window, policy)))
+    cells = [cell for _, cell in grid]
 
     rows: list[dict] = []
     min_ratio_by_lambda: dict[float, float] = {}
-    for ci, (lam, c, window, policy) in enumerate(cells):
-        cell_rows = [r for r in results if r["cell_idx"] == ci]
+    for (c, (lam, window, policy)), results in zip(grid, _run_grid(cfg, cells)):
         log_term = math.log(1.0 / (1.0 - lam))
         base = {"lambda": lam, "p": cfg.p, "c": c, "window": window, "policy": policy}
-        for r in cell_rows:
-            qw = r["mean_queue_event"] + window
-            rows.append(base | {
-                "seed": r["rep_idx"], "n_events": r["n_events"],
-                "mean_queue_event": r["mean_queue_event"],
-                "q_plus_w": qw, "ratio": qw / log_term,
-                "ci_halfwidth": None, "aggregate_flag": 0,
-            })
-        mean_q, ci_hw = _aggregate([r["mean_queue_event"] for r in cell_rows])
-        qw = mean_q + window
-        ratio = qw / log_term
-        rows.append(base | {
-            "seed": None,
-            "n_events": sum(r["n_events"] for r in cell_rows) / len(cell_rows),
-            "mean_queue_event": mean_q, "q_plus_w": qw, "ratio": ratio,
-            "ci_halfwidth": ci_hw, "aggregate_flag": 1,
-        })
+        for row in _cell_rows(base, results):
+            row["q_plus_w"] = row["mean_queue_event"] + window
+            row["ratio"] = row["q_plus_w"] / log_term
+            rows.append(row)
+        ratio = rows[-1]["ratio"]  # the aggregate row's
         cur = min_ratio_by_lambda.get(lam)
         min_ratio_by_lambda[lam] = ratio if cur is None else min(cur, ratio)
     for lam, ratio in sorted(min_ratio_by_lambda.items()):
@@ -427,56 +414,15 @@ def _write_plot_stub(out_dir: Path, csv_name: str, y_col: str, group_col: str) -
 
 def _run_simulate(cfg: RunConfig, out_dir: Path) -> None:
     rule = _parse_window_rule(cfg.window_rule)
-    windows = {li: rule(lam) for li, lam in enumerate(cfg.lambdas)}
-    tasks = [
-        {
-            "lambda": lam, "p": cfg.p, "window": windows[li], "policy": cfg.policy,
-            "horizon": cfg.horizon, "q0": cfg.q0, "burn_in": cfg.burn_in,
-            "master_seed": cfg.master_seed, "cell_idx": li, "rep_idx": rep,
-        }
-        for li, lam in enumerate(cfg.lambdas)
-        for rep in range(cfg.seeds)
-    ]
-    for r in _run_tasks(tasks, cfg.workers):
-        li, rep = r["cell_idx"], r["rep_idx"]
-        summary = {
-            "lambda": cfg.lambdas[li], "p": cfg.p, "window": windows[li],
-            "policy": cfg.policy, "seed": rep, "n_events": r["n_events"],
-            "mean_queue_event": r["mean_queue_event"],
-            "mean_queue_time": r["mean_queue_time"],
-            "diversion_rate": r["diversion_rate"],
-            "wasted_rate": r["wasted_rate"], "q0": cfg.q0,
-        }
-        with open(out_dir / f"run_lam{li}_seed{rep}.json", "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        if cfg.trajectory_csv:
-            _dump_trajectory(cfg, cfg.lambdas[li], windows[li], rep, out_dir, li)
-
-
-def _dump_trajectory(cfg: RunConfig, lam: float, window: float, rep: int,
-                     out_dir: Path, cell_idx: int) -> None:
-    params = ModelParams(lam, cfg.p, window)
-    stream = generate_stream(
-        params, cfg.horizon + window, _cell_seed(cfg.master_seed, cell_idx, rep)
-    )
-    traj, trace, _ = run_simulation(
-        stream, cfg.policy, q0=cfg.q0, t_end=cfg.horizon, burn_in=cfg.burn_in
-    )
-    n = traj.pre_event_queue.size
-    rows = [
-        {
-            "n": i + 1,
-            "time": float(stream.times[i]),
-            "mark": int(stream.marks[i]),
-            "H": int(trace.decisions[i]),
-            "Q_pre": int(traj.pre_event_queue[i]),
-            "Q_post": int(traj.post_event_queue[i]),
-        }
-        for i in range(n)
-    ]
-    _write_csv(out_dir / f"trajectory_lam{cell_idx}_seed{rep}.csv",
-               ["n", "time", "mark", "H", "Q_pre", "Q_post"], rows)
+    cells = [(lam, rule(lam), cfg.policy) for lam in cfg.lambdas]
+    grouped = _run_grid(cfg, cells, out_dir if cfg.trajectory_csv else None)
+    for li, ((lam, window, _), results) in enumerate(zip(cells, grouped)):
+        for r in results:
+            summary = {"lambda": lam, "p": cfg.p, "window": window, "policy": cfg.policy,
+                       "q0": cfg.q0} | r
+            with open(out_dir / f"run_lam{li}_seed{r['seed']}.json", "w") as fh:
+                json.dump(summary, fh, indent=2, sort_keys=True)
+                fh.write("\n")
 
 
 def _run_analytic(cfg: RunConfig, out_dir: Path) -> None:

@@ -6,7 +6,7 @@ to divert the arrival.  Decisions may depend on nothing after the window's
 right edge; the simulator enforces that by construction and the tests check
 it by splicing streams.
 
-Three policies are provided:
+Three policies are provided, one class each:
 
 * ``threshold:x`` / ``threshold:auto`` -- divert exactly when the queue sits
   at the threshold; the classical online (zero-lookahead) rule whose queue
@@ -15,55 +15,44 @@ Three policies are provided:
   window certifies that, even without this arrival, the queue stays busy
   for the whole lookahead; a heuristic stand-in for a full lookahead policy.
 * ``admit-all`` -- the no-diversion baseline.
+
+Each class holds its rule twice.  ``decide(state)`` is the reference: one
+arrival at a time, as the generic engine path consults it.  ``simulate(stream,
+path)`` is the kernel that :func:`qadmit.sim.run_simulation` runs instead: it
+fills the post-event queue ``path[1:]`` of an int64 buffer whose ``path[0]``
+holds q0 and returns the int8 decisions.  Admit-all is the closed-form Lindley
+recursion, threshold a blocked clip-map scan in numpy, and windowed-drain a
+loop over a sliding-window minimum of the walk's prefix sums.  The two agree
+decision for decision, which the tests pin down.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import bd_stationary
 from .errors import ConfigurationError
-from .stream import ModelParams
+from .stream import EventStream, ModelParams
 
 _THRESHOLD_SCAN_CAP = 10**6
 
 
 @dataclass
 class PolicyState:
-    """What a policy may look at when deciding on the current event.
+    """What a policy may look at when deciding on the current arrival.
 
     ``window`` lists (relative time, mark) for every event in
-    [now, now + W]; its first entry is the current event at relative time
+    [now, now + W]; its first entry is the current arrival at relative time
     zero.  ``queue`` is the queue length just before the current event.
     """
 
     queue: int
     window: list[tuple[float, int]]
     now: float
-    current_mark: int
-
-
-@dataclass
-class BudgetState:
-    """Token bucket enforcing the diversion budget pathwise.
-
-    Credit accrues continuously at ``rate`` up to ``cap``; each diversion
-    spends one token.  Total diversions in [0, t] are therefore at most
-    cap + rate * t on every path.
-    """
-
-    tokens: float
-    rate: float
-    cap: float
-    last_time: float = 0.0
-
-    def refill_to(self, t: float) -> None:
-        if t > self.last_time:
-            self.tokens = min(self.cap, self.tokens + self.rate * (t - self.last_time))
-            self.last_time = t
 
 
 @dataclass
@@ -79,40 +68,6 @@ class DecisionTrace:
         return int(self.decisions.sum())
 
 
-def threshold_decide(x: int, state: PolicyState) -> bool:
-    """Divert exactly when the pre-arrival queue equals the threshold."""
-    if x < 0:
-        raise ValueError(f"threshold must be >= 0, got {x}")
-    return state.queue == x
-
-
-def admit_all_decide(state: PolicyState) -> bool:
-    """Never divert."""
-    return False
-
-
-def windowed_drain_decide(params: ModelParams, budget: BudgetState, state: PolicyState) -> bool:
-    """Divert iff budget allows and no idling is certified within the window.
-
-    The certification is conservative: it tracks the unreflected walk
-    ``queue + S(now, u)`` for u across the window (the true queue dominates
-    it), requiring it to stay >= 1 assuming everything else is admitted.
-    Spends one budget token on diversion.
-    """
-    if budget.tokens < 1.0:
-        return False
-    low = 0
-    s = 0
-    for _, mark in state.window[1:]:
-        s += mark
-        if s < low:
-            low = s
-    if state.queue + low < 1:
-        return False
-    budget.tokens -= 1.0
-    return True
-
-
 def min_feasible_threshold(params: ModelParams) -> int:
     """Smallest threshold whose stationary diversion rate fits the budget.
 
@@ -126,7 +81,91 @@ def min_feasible_threshold(params: ModelParams) -> int:
     raise RuntimeError("threshold scan cap hit; diversion rate failed to fall below budget")
 
 
+def _free_walk(marks: np.ndarray, path: np.ndarray) -> np.ndarray:
+    """Write q0 + S (widened before it is summed) into path[1:]; return that view."""
+    walk = path[1:]
+    walk[...] = marks
+    walk.cumsum(out=walk)
+    walk += path[0]
+    return walk
+
+
+def _clip_scan(marks: np.ndarray, q: int, x: int) -> np.ndarray:
+    """Post-event path of q -> clip(q + m, 0, x) from a start q in [0, x].
+
+    The path comes back in the narrow scan dtype (int16 unless x or the
+    block is large); assigning it into an int64 buffer widens it.  A
+    composition of such maps is again clip(q + a, lo, hi), with a the mark
+    sum and lo, hi the clipped walk started from 0 and from x.  The marks
+    are cut into about sqrt(n) blocks; each block's prefix maps are built
+    for all blocks at once (one vector step per column), a short pass
+    carries q across the block starts, and one clip gives the whole path.
+    """
+    n = marks.size
+    b = math.isqrt(n - 1) + 1
+    nb = -(-n // b)
+    # every intermediate lies in [-b, x + b]
+    dt = np.int16 if x + b < 2**15 else np.int64
+    steps = np.zeros(nb * b, dtype=np.int8)  # zero padding maps q to itself
+    steps[:n] = marks
+    steps = np.ascontiguousarray(steps.reshape(nb, b).T)  # row j: step j of every block
+    shift = np.cumsum(steps, axis=0, dtype=dt)
+    bounds = np.empty((b, 2, nb), dtype=dt)  # [:, 0] walk from 0, [:, 1] walk from x
+    cur = np.zeros((2, nb), dtype=dt)
+    cur[1] = x
+    for j in range(b):
+        row = bounds[j]
+        np.add(cur, steps[j], out=row)
+        np.maximum(row, 0, out=row)
+        np.minimum(row, x, out=row)
+        cur = row
+    a_end = shift[-1].tolist()
+    lo_end = bounds[-1, 0].tolist()
+    hi_end = bounds[-1, 1].tolist()
+    starts = [0] * nb
+    for i in range(nb):
+        starts[i] = q
+        q = min(max(q + a_end[i], lo_end[i]), hi_end[i])
+    shift += np.array(starts, dtype=dt)
+    np.clip(shift, bounds[:, 0], bounds[:, 1], out=shift)
+    return shift.T.reshape(-1)[:n]
+
+
+def _window_end_indices(times: np.ndarray, window: float, n_sim: int) -> np.ndarray:
+    # m[i] = index of the last event with Z <= Z_i + window, over the whole
+    # stream (windows of late in-horizon events may reach past t_end)
+    return np.searchsorted(times, times[:n_sim] + window, side="right") - 1
+
+
+def _sliding_prefix_min(prefix: np.ndarray, ends: np.ndarray) -> list:
+    """min of prefix over indices [i+2, ends[i]+1] for each event i.
+
+    None where the range is empty.  ``ends`` must be nondecreasing, which
+    holds because event times are sorted.
+    """
+    mins: list = [None] * ends.size
+    dq: deque[int] = deque()
+    right = 1  # next prefix index to ingest
+    pl = prefix.tolist()
+    for i in range(ends.size):
+        hi = ends[i] + 1
+        while right <= hi:
+            v = pl[right]
+            while dq and pl[dq[-1]] >= v:
+                dq.pop()
+            dq.append(right)
+            right += 1
+        lo = i + 2
+        while dq and dq[0] < lo:
+            dq.popleft()
+        if dq and dq[0] <= hi:
+            mins[i] = pl[dq[0]]
+    return mins
+
+
 class AdmitAllPolicy:
+    """Never divert: the no-diversion baseline."""
+
     kind = "admit-all"
     lookahead = 0.0
 
@@ -134,10 +173,22 @@ class AdmitAllPolicy:
         pass
 
     def decide(self, state: PolicyState) -> bool:
-        return admit_all_decide(state)
+        return False
+
+    def simulate(self, stream: EventStream, path: np.ndarray) -> np.ndarray:
+        # Lindley recursion in closed form: reflection lifts the free walk by
+        # the running amount of wasted tokens.
+        marks = stream.marks[: path.size - 1]
+        base = _free_walk(marks, path)
+        low = np.minimum.accumulate(base)
+        np.minimum(low, 0, out=low)
+        base -= low
+        return np.zeros(marks.size, dtype=np.int8)
 
 
 class ThresholdPolicy:
+    """Divert exactly when the pre-arrival queue equals the threshold x."""
+
     kind = "threshold"
     lookahead = 0.0
 
@@ -150,7 +201,23 @@ class ThresholdPolicy:
         pass
 
     def decide(self, state: PolicyState) -> bool:
-        return threshold_decide(self.x, state)
+        return state.queue == self.x
+
+    def simulate(self, stream: EventStream, path: np.ndarray) -> np.ndarray:
+        x = self.x
+        marks = stream.marks[: path.size - 1]
+        q0 = int(path[0])
+        if q0 > x:
+            # above x every arrival is admitted: the path is the free walk
+            # q0 + S, which moves by +-1 and stays >= 1 until it first equals x;
+            # from there the scan overwrites the rest of it
+            free = _free_walk(marks, path)
+            k = int((free == x).argmax())
+            if free[k] == x and k + 1 < marks.size:
+                free[k + 1 :] = _clip_scan(marks[k + 1 :], x, x)
+        else:
+            path[1:] = _clip_scan(marks, q0, x)
+        return ((marks == 1) & (path[:-1] == x)).view(np.int8)
 
 
 class WindowedDrainPolicy:
@@ -161,6 +228,8 @@ class WindowedDrainPolicy:
     any path, while credit saved during quiet stretches stays available to
     divert at full speed through later excursions.  A hard ceiling would
     starve the policy exactly when heavy traffic needs the burst.
+    ``credit`` and ``last_time`` (the epoch it was last accrued to) carry
+    the budget from one decision to the next; ``reset()`` restores them.
     """
 
     kind = "windowed-drain"
@@ -168,23 +237,76 @@ class WindowedDrainPolicy:
     def __init__(self, params: ModelParams):
         self.params = params
         self.initial_credit = max(1.0, params.divert_budget * params.window)
-        self.budget = self._fresh_budget()
-
-    def _fresh_budget(self) -> BudgetState:
-        return BudgetState(
-            tokens=self.initial_credit, rate=self.params.divert_budget, cap=math.inf
-        )
+        self.reset()
 
     @property
     def lookahead(self) -> float:
         return self.params.window
 
     def reset(self) -> None:
-        self.budget = self._fresh_budget()
+        self.credit = self.initial_credit
+        self.last_time = 0.0
 
     def decide(self, state: PolicyState) -> bool:
-        self.budget.refill_to(state.now)
-        return windowed_drain_decide(self.params, self.budget, state)
+        """Divert iff credit allows and no idling is certified within the window.
+
+        The certification is conservative: it tracks the unreflected walk
+        ``queue + S(now, u)`` for u across the window (the true queue
+        dominates it), requiring it to stay >= 1 assuming everything else
+        is admitted.  Spends one unit of credit on diversion.
+        """
+        if state.now > self.last_time:
+            self.credit += self.params.divert_budget * (state.now - self.last_time)
+            self.last_time = state.now
+        if self.credit < 1.0:
+            return False
+        low = 0
+        s = 0
+        for _, mark in state.window[1:]:
+            s += mark
+            if s < low:
+                low = s
+        if state.queue + low < 1:
+            return False
+        self.credit -= 1.0
+        return True
+
+    def simulate(self, stream: EventStream, path: np.ndarray) -> np.ndarray:
+        n_sim = path.size - 1
+        ends = _window_end_indices(stream.times, self.params.window, n_sim)
+        mins = _sliding_prefix_min(stream.prefix, ends)
+        prefix_l = stream.prefix.tolist()
+        times_l = stream.times[:n_sim].tolist()
+        marks_l = stream.marks[:n_sim].tolist()
+
+        hs = np.zeros(n_sim, dtype=np.int8)
+        q = int(path[0])
+        rate = self.params.divert_budget
+        credit = self.credit
+        last_t = self.last_time
+        for i in range(n_sim):
+            if marks_l[i] == 1:
+                t = times_l[i]
+                if t > last_t:
+                    credit += rate * (t - last_t)
+                    last_t = t
+                divert = False
+                if credit >= 1.0:
+                    m = mins[i]
+                    low = 0 if m is None else min(0, m - prefix_l[i + 1])
+                    if q + low >= 1:
+                        divert = True
+                        credit -= 1.0
+                if divert:
+                    hs[i] = 1
+                else:
+                    q += 1
+            elif q > 0:
+                q -= 1
+            path[i + 1] = q
+        self.credit = credit
+        self.last_time = last_t
+        return hs
 
 
 def parse_policy_spec(spec: str) -> tuple[str, int | None]:

@@ -11,32 +11,22 @@ can be checked exactly at every epoch, and computes the two performance
 functionals (event-average queue, diversion rate) plus the wasted-token
 count.
 
-The built-in policies run through fast paths: admit-all through the
-closed-form Lindley recursion, threshold through a blocked clip-map scan
-in numpy, and the windowed heuristic through a loop over a sliding-window
-minimum of the walk's prefix sums.  Any other object with a
-``decide(state)`` method runs through a generic path that materializes a
-``PolicyState`` per arrival.  Fast and generic paths are
-decision-for-decision identical, which the tests pin down.
+Each built-in policy is one class (see :mod:`qadmit.policy`) with its rule
+as ``decide(state)``, the reference, and as ``simulate(stream, path)``,
+the kernel the engine runs.  Any other object with a ``decide(state)``
+method runs through the generic path, which materializes a
+``PolicyState`` per arrival and stays as the test oracle: every kernel
+matches it decision for decision.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, OutOfRangeError
-from .policy import (
-    AdmitAllPolicy,
-    DecisionTrace,
-    PolicyState,
-    ThresholdPolicy,
-    WindowedDrainPolicy,
-    make_policy,
-)
+from .policy import DecisionTrace, PolicyState, _window_end_indices, make_policy
 from .stream import EventStream, count_events
 
 DEFAULT_BURN_IN = 0.1
@@ -90,158 +80,6 @@ class SimMetrics:
     n_burned: int
 
 
-# Each kernel below fills path[1:] (the post-event queue) of an int64
-# buffer whose path[0] already holds q0, and returns the int8 decisions.
-
-
-def _free_walk(marks: np.ndarray, path: np.ndarray) -> np.ndarray:
-    """Write q0 + S (widened before it is summed) into path[1:]; return that view."""
-    walk = path[1:]
-    walk[...] = marks
-    walk.cumsum(out=walk)
-    walk += path[0]
-    return walk
-
-
-def _simulate_admit_all(marks: np.ndarray, path: np.ndarray) -> np.ndarray:
-    # Lindley recursion in closed form: reflection lifts the free walk by
-    # the running amount of wasted tokens.
-    base = _free_walk(marks, path)
-    low = np.minimum.accumulate(base)
-    np.minimum(low, 0, out=low)
-    base -= low
-    return np.zeros(marks.size, dtype=np.int8)
-
-
-def _clip_scan(marks: np.ndarray, q: int, x: int) -> np.ndarray:
-    """Post-event path of q -> clip(q + m, 0, x) from a start q in [0, x].
-
-    The path comes back in the narrow scan dtype (int16 unless x or the
-    block is large); assigning it into an int64 buffer widens it.  A
-    composition of such maps is again clip(q + a, lo, hi), with a the mark
-    sum and lo, hi the clipped walk started from 0 and from x.  The marks
-    are cut into about sqrt(n) blocks; each block's prefix maps are built
-    for all blocks at once (one vector step per column), a short pass
-    carries q across the block starts, and one clip gives the whole path.
-    """
-    n = marks.size
-    b = math.isqrt(n - 1) + 1
-    nb = -(-n // b)
-    # every intermediate lies in [-b, x + b]
-    dt = np.int16 if x + b < 2**15 else np.int64
-    steps = np.zeros(nb * b, dtype=np.int8)  # zero padding maps q to itself
-    steps[:n] = marks
-    steps = np.ascontiguousarray(steps.reshape(nb, b).T)  # row j: step j of every block
-    shift = np.cumsum(steps, axis=0, dtype=dt)
-    bounds = np.empty((b, 2, nb), dtype=dt)  # [:, 0] walk from 0, [:, 1] walk from x
-    cur = np.zeros((2, nb), dtype=dt)
-    cur[1] = x
-    for j in range(b):
-        row = bounds[j]
-        np.add(cur, steps[j], out=row)
-        np.maximum(row, 0, out=row)
-        np.minimum(row, x, out=row)
-        cur = row
-    a_end = shift[-1].tolist()
-    lo_end = bounds[-1, 0].tolist()
-    hi_end = bounds[-1, 1].tolist()
-    starts = [0] * nb
-    for i in range(nb):
-        starts[i] = q
-        q = min(max(q + a_end[i], lo_end[i]), hi_end[i])
-    shift += np.array(starts, dtype=dt)
-    np.clip(shift, bounds[:, 0], bounds[:, 1], out=shift)
-    return shift.T.reshape(-1)[:n]
-
-
-def _simulate_threshold(marks: np.ndarray, path: np.ndarray, x: int) -> np.ndarray:
-    q0 = int(path[0])
-    if q0 > x:
-        # above x every arrival is admitted: the path is the free walk
-        # q0 + S, which moves by +-1 and stays >= 1 until it first equals x;
-        # from there the scan overwrites the rest of it
-        free = _free_walk(marks, path)
-        k = int((free == x).argmax())
-        if free[k] == x and k + 1 < marks.size:
-            free[k + 1 :] = _clip_scan(marks[k + 1 :], x, x)
-    else:
-        path[1:] = _clip_scan(marks, q0, x)
-    return ((marks == 1) & (path[:-1] == x)).view(np.int8)
-
-
-def _window_end_indices(times: np.ndarray, window: float, n_sim: int) -> np.ndarray:
-    # m[i] = index of the last event with Z <= Z_i + window, over the whole
-    # stream (windows of late in-horizon events may reach past t_end)
-    return np.searchsorted(times, times[:n_sim] + window, side="right") - 1
-
-
-def _sliding_prefix_min(prefix: np.ndarray, ends: np.ndarray) -> list:
-    """min of prefix over indices [i+2, ends[i]+1] for each event i.
-
-    None where the range is empty.  ``ends`` must be nondecreasing, which
-    holds because event times are sorted.
-    """
-    mins: list = [None] * ends.size
-    dq: deque[int] = deque()
-    right = 1  # next prefix index to ingest
-    pl = prefix.tolist()
-    for i in range(ends.size):
-        hi = ends[i] + 1
-        while right <= hi:
-            v = pl[right]
-            while dq and pl[dq[-1]] >= v:
-                dq.pop()
-            dq.append(right)
-            right += 1
-        lo = i + 2
-        while dq and dq[0] < lo:
-            dq.popleft()
-        if dq and dq[0] <= hi:
-            mins[i] = pl[dq[0]]
-    return mins
-
-
-def _simulate_windowed_drain(stream: EventStream, policy, path: np.ndarray) -> np.ndarray:
-    n_sim = path.size - 1
-    params = policy.params
-    w = params.window
-    ends = _window_end_indices(stream.times, w, n_sim)
-    mins = _sliding_prefix_min(stream.prefix, ends)
-    prefix_l = stream.prefix.tolist()
-    times_l = stream.times[:n_sim].tolist()
-    marks_l = stream.marks[:n_sim].tolist()
-
-    hs = np.zeros(n_sim, dtype=np.int8)
-    q = int(path[0])
-    cap = policy.budget.cap
-    rate = params.divert_budget
-    tokens = policy.budget.tokens
-    last_t = policy.budget.last_time
-    for i in range(n_sim):
-        if marks_l[i] == 1:
-            t = times_l[i]
-            if t > last_t:
-                tokens = min(cap, tokens + rate * (t - last_t))
-                last_t = t
-            divert = False
-            if tokens >= 1.0:
-                m = mins[i]
-                low = 0 if m is None else min(0, m - prefix_l[i + 1])
-                if q + low >= 1:
-                    divert = True
-                    tokens -= 1.0
-            if divert:
-                hs[i] = 1
-            else:
-                q += 1
-        elif q > 0:
-            q -= 1
-        path[i + 1] = q
-    policy.budget.tokens = tokens
-    policy.budget.last_time = last_t
-    return hs
-
-
 def _simulate_generic(stream: EventStream, policy, path: np.ndarray) -> np.ndarray:
     n_sim = path.size - 1
     w = float(getattr(policy, "lookahead", 0.0))
@@ -255,7 +93,7 @@ def _simulate_generic(stream: EventStream, policy, path: np.ndarray) -> np.ndarr
         if mk == 1:
             t = float(times[i])
             win = [(float(times[j]) - t, int(stream.marks[j])) for j in range(i, ends[i] + 1)]
-            state = PolicyState(queue=q, window=win, now=t, current_mark=1)
+            state = PolicyState(queue=q, window=win, now=t)
             if policy.decide(state):
                 hs[i] = 1
             else:
@@ -276,7 +114,8 @@ def run_simulation(
     """Apply a policy to a stream and return (trajectory, trace, metrics).
 
     ``policy`` is a selection string (resolved against ``stream.params``)
-    or a policy object.  Events up to ``t_end`` (default: the stream
+    or a policy object; an object's ``simulate`` kernel runs when it has
+    one, its ``decide`` otherwise.  Events up to ``t_end`` (default: the stream
     horizon) are simulated; a longer stream lets lookahead policies see
     full windows near the end.  ``burn_in`` is the fraction of leading
     events excluded from the stationary metrics.
@@ -295,12 +134,8 @@ def run_simulation(
     path[0] = q0
     if n_sim == 0:
         hs = np.zeros(0, dtype=np.int8)
-    elif isinstance(policy, AdmitAllPolicy):
-        hs = _simulate_admit_all(stream.marks[:n_sim], path)
-    elif isinstance(policy, ThresholdPolicy):
-        hs = _simulate_threshold(stream.marks[:n_sim], path, policy.x)
-    elif isinstance(policy, WindowedDrainPolicy):
-        hs = _simulate_windowed_drain(stream, policy, path)
+    elif hasattr(policy, "simulate"):
+        hs = policy.simulate(stream, path)
     elif hasattr(policy, "decide"):
         hs = _simulate_generic(stream, policy, path)
     else:

@@ -77,8 +77,9 @@ class EventStream:
     ``times`` is float64.  ``marks`` is int8: ``marks[n]`` is +1 for an
     arrival and -1 for a service token.  ``prefix`` is int64 with
     ``prefix[n]`` the sum of the first n marks.  Hand-built marks of any
-    integer, float or list form are checked in int64 before they are
-    narrowed, so a value such as 255 or 257 is rejected rather than wrapped.
+    integer, float or list form are checked at their own dtype before they
+    are narrowed, so a value such as 255 or 1.5 is rejected rather than
+    wrapped or truncated.
     The stream is immutable after construction and safe to share read-only.
     ``params`` records the generating model when the stream came from
     :func:`generate_stream`; hand-built streams may leave it ``None``.
@@ -94,7 +95,7 @@ class EventStream:
         self.times = np.asarray(self.times, dtype=np.float64)
         marks = self.marks
         if not (isinstance(marks, np.ndarray) and marks.dtype == np.int8):
-            marks = np.asarray(marks, dtype=np.int64)
+            marks = np.asarray(marks)
         if self.times.shape != marks.shape or self.times.ndim != 1:
             raise ValueError("times and marks must be 1-d arrays of equal length")
         if not (math.isfinite(self.horizon) and self.horizon >= 0.0):
@@ -113,7 +114,7 @@ class EventStream:
         self.prefix = np.empty(marks.size + 1, dtype=np.int64)
         self.prefix[0] = 0
         walk = self.prefix[1:]
-        walk[...] = marks
+        walk[...] = self.marks
         walk.cumsum(out=walk)
 
     def __len__(self) -> int:

@@ -17,6 +17,8 @@ from qadmit.cli import (
     run_from_config,
 )
 from qadmit.errors import ConfigurationError
+from qadmit.sim import run_simulation
+from qadmit.stream import ModelParams, generate_stream, replication_seed
 
 
 def write_config(tmp_path, name="cfg.json", **fields):
@@ -99,6 +101,43 @@ def test_conserve_defaults_to_auto_policy():
     assert cfg.policy == "admit-all"
     cfg = config_from_mapping(dict(kind="simulate", p=0.5, lambdas=[0.875]))
     assert cfg.policy == "threshold:auto"
+
+
+@pytest.mark.parametrize("window_rule, window, policy, q0", [
+    ("constant:3", 3.0, "windowed-drain", 1),
+    ("zero", 0.0, "threshold:x=2", 6),  # q0 above the threshold
+])
+def test_simulate_trajectory_csv_matches_direct_run(tmp_path, window_rule, window, policy, q0):
+    from qadmit.cli import run_config
+
+    base = dict(
+        kind="simulate", p=0.5, lambdas=(0.875, 0.9), window_rule=window_rule, policy=policy,
+        horizon=300.0, seeds=2, master_seed=13, q0=q0, trajectory_csv=True,
+    )
+    out1, out2 = tmp_path / "w1", tmp_path / "w2"
+    assert run_config(RunConfig(**base, workers=1, out_dir=str(out1))) == EXIT_OK
+    assert run_config(RunConfig(**base, workers=2, out_dir=str(out2))) == EXIT_OK
+    for li, lam in enumerate(base["lambdas"]):
+        for rep in range(2):
+            name = f"trajectory_lam{li}_seed{rep}.csv"
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+            stream = generate_stream(
+                ModelParams(lam, 0.5, window), 300.0 + window, replication_seed(13, li, rep)
+            )
+            traj, trace, m = run_simulation(stream, policy, q0=q0, t_end=300.0)
+            n = m.n_events
+            rows = read_rows(out1 / name)
+            assert [int(r["n"]) for r in rows] == list(range(1, n + 1))
+            assert [float(r["time"]) for r in rows] == stream.times[:n].tolist()
+            assert [int(r["mark"]) for r in rows] == stream.marks[:n].tolist()
+            assert [int(r["H"]) for r in rows] == trace.decisions.tolist()
+            assert [int(r["Q_pre"]) for r in rows] == traj.pre_event_queue.tolist()
+            assert [int(r["Q_post"]) for r in rows] == traj.post_event_queue.tolist()
+            assert int(rows[0]["Q_pre"]) == q0
+            # the summary comes from the same run as the trajectory
+            summary = json.loads((out1 / f"run_lam{li}_seed{rep}.json").read_text())
+            assert summary["n_events"] == n
+            assert summary["mean_queue_event"] == m.mean_queue_event
 
 
 def test_window_rules():

@@ -1,20 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 
 from qadmit.errors import ConfigurationError
 from qadmit.policy import (
     AdmitAllPolicy,
-    BudgetState,
     PolicyState,
     ThresholdPolicy,
     WindowedDrainPolicy,
-    admit_all_decide,
     make_policy,
     min_feasible_threshold,
-    threshold_decide,
-    windowed_drain_decide,
 )
 from qadmit.sim import run_simulation
 from qadmit.stream import EventStream, ModelParams, generate_stream, replication_seed
@@ -23,15 +17,22 @@ PARAMS = ModelParams(0.9, 0.5, window=4.0)
 
 
 def _state(queue, window, now=0.0):
-    return PolicyState(queue=queue, window=window, now=now, current_mark=1)
+    return PolicyState(queue=queue, window=window, now=now)
+
+
+def _drain(credit):
+    """A windowed-drain policy holding the given credit at time 0."""
+    policy = WindowedDrainPolicy(PARAMS)
+    policy.credit = credit
+    return policy
 
 
 def test_threshold_decide_examples():
-    assert threshold_decide(2, _state(2, [(0.0, 1)])) is True
-    assert threshold_decide(2, _state(1, [(0.0, 1)])) is False
-    assert threshold_decide(0, _state(0, [(0.0, 1)])) is True
+    assert ThresholdPolicy(2).decide(_state(2, [(0.0, 1)])) is True
+    assert ThresholdPolicy(2).decide(_state(1, [(0.0, 1)])) is False
+    assert ThresholdPolicy(0).decide(_state(0, [(0.0, 1)])) is True
     with pytest.raises(ValueError):
-        threshold_decide(-1, _state(0, [(0.0, 1)]))
+        ThresholdPolicy(-1)
 
 
 def test_threshold_zero_degenerate_queue():
@@ -42,7 +43,7 @@ def test_threshold_zero_degenerate_queue():
 
 
 def test_admit_all_decide():
-    assert admit_all_decide(_state(5, [(0.0, 1)])) is False
+    assert AdmitAllPolicy().decide(_state(5, [(0.0, 1)])) is False
 
 
 def test_min_feasible_threshold_examples():
@@ -62,46 +63,49 @@ def test_min_feasible_threshold_monotone_in_lambda():
 
 
 def test_windowed_drain_empty_queue_admits():
-    budget = BudgetState(tokens=5.0, rate=0.5, cap=math.inf)
+    policy = _drain(5.0)
     state = _state(0, [(0.0, 1), (1.0, 1), (2.0, 1)])
-    assert windowed_drain_decide(PARAMS, budget, state) is False
-    assert budget.tokens == 5.0  # no spend on admit
+    assert policy.decide(state) is False
+    assert policy.credit == 5.0  # no spend on admit
 
 
 def test_windowed_drain_all_arrivals_window():
-    budget = BudgetState(tokens=2.0, rate=0.5, cap=math.inf)
+    policy = _drain(2.0)
     state = _state(5, [(0.0, 1), (1.0, 1), (2.0, 1)])
-    assert windowed_drain_decide(PARAMS, budget, state) is True
-    assert budget.tokens == 1.0
-    empty = BudgetState(tokens=0.5, rate=0.5, cap=math.inf)
-    assert windowed_drain_decide(PARAMS, empty, state) is False
+    assert policy.decide(state) is True
+    assert policy.credit == 1.0
+    assert _drain(0.5).decide(state) is False
 
 
 def test_windowed_drain_zero_window_reduces_to_busy_test():
     # window holds only the current event: certify iff queue >= 1
-    budget = BudgetState(tokens=9.0, rate=0.5, cap=math.inf)
-    assert windowed_drain_decide(PARAMS, budget, _state(1, [(0.0, 1)])) is True
-    assert windowed_drain_decide(PARAMS, budget, _state(0, [(0.0, 1)])) is False
+    policy = _drain(9.0)
+    assert policy.decide(_state(1, [(0.0, 1)])) is True
+    assert policy.decide(_state(0, [(0.0, 1)])) is False
 
 
 def test_windowed_drain_respects_visible_token_drain():
-    budget = BudgetState(tokens=9.0, rate=0.5, cap=math.inf)
+    policy = _drain(9.0)
     # queue 2, window shows three tokens: unreflected low point is 2-3 < 1
     state = _state(2, [(0.0, 1), (0.5, -1), (1.0, -1), (1.5, -1)])
-    assert windowed_drain_decide(PARAMS, budget, state) is False
+    assert policy.decide(state) is False
     # queue 4 survives the same drain
     state = _state(4, [(0.0, 1), (0.5, -1), (1.0, -1), (1.5, -1)])
-    assert windowed_drain_decide(PARAMS, budget, state) is True
+    assert policy.decide(state) is True
 
 
-def test_budget_refill_caps_and_accrues():
-    b = BudgetState(tokens=0.0, rate=0.5, cap=3.0)
-    b.refill_to(2.0)
-    assert b.tokens == pytest.approx(1.0)
-    b.refill_to(100.0)
-    assert b.tokens == 3.0
-    b.refill_to(50.0)  # time never runs backwards
-    assert b.last_time == 100.0
+def test_budget_refill_accrues():
+    # an empty queue is never certified, so each decision only accrues credit
+    policy = _drain(0.0)
+    assert policy.decide(_state(0, [(0.0, 1)], now=2.0)) is False
+    assert policy.credit == pytest.approx(1.0)
+    policy.decide(_state(0, [(0.0, 1)], now=100.0))
+    assert policy.credit == pytest.approx(50.0)  # no ceiling
+    policy.decide(_state(0, [(0.0, 1)], now=50.0))  # time never runs backwards
+    assert policy.last_time == 100.0
+    assert policy.credit == pytest.approx(50.0)
+    policy.reset()
+    assert (policy.credit, policy.last_time) == (policy.initial_credit, 0.0)
 
 
 def test_budget_pathwise_bound():

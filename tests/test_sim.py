@@ -259,42 +259,6 @@ def test_t_end_truncates_and_lookahead_sees_past_it():
         flow_identity_residual(traj, trace, s, 101.0)
 
 
-def test_fast_paths_match_generic_reference():
-    params = ModelParams(0.9, 0.5, window=4.0)
-    s = generate_stream(params, 800.0 + 4.0, seed=76)
-
-    class GenericThreshold:
-        lookahead = 0.0
-
-        def decide(self, state):
-            from qadmit.policy import threshold_decide
-
-            return threshold_decide(2, state)
-
-    class GenericDrain:
-        def __init__(self):
-            self.inner = WindowedDrainPolicy(params)
-            self.lookahead = params.window
-
-        def reset(self):
-            self.inner.reset()
-
-        def decide(self, state):
-            self.inner.budget.refill_to(state.now)
-            from qadmit.policy import windowed_drain_decide
-
-            return windowed_drain_decide(params, self.inner.budget, state)
-
-    for fast, generic in (
-        (ThresholdPolicy(2), GenericThreshold()),
-        (WindowedDrainPolicy(params), GenericDrain()),
-    ):
-        tf, hf, _ = run_simulation(s, fast, t_end=800.0)
-        tg, hg, _ = run_simulation(s, generic, t_end=800.0)
-        assert np.array_equal(hf.decisions, hg.decisions)
-        assert np.array_equal(tf.post_event_queue, tg.post_event_queue)
-
-
 class _Delegating:
     """Run a built-in policy through the generic ``decide()`` path."""
 
@@ -302,8 +266,24 @@ class _Delegating:
         self.inner = inner
         self.lookahead = inner.lookahead
 
+    def reset(self):
+        self.inner.reset()
+
     def decide(self, state):
         return self.inner.decide(state)
+
+
+def test_fast_paths_match_generic_reference():
+    params = ModelParams(0.9, 0.5, window=4.0)
+    s = generate_stream(params, 800.0 + 4.0, seed=76)
+    for fast, generic in (
+        (ThresholdPolicy(2), _Delegating(ThresholdPolicy(2))),
+        (WindowedDrainPolicy(params), _Delegating(WindowedDrainPolicy(params))),
+    ):
+        tf, hf, _ = run_simulation(s, fast, t_end=800.0)
+        tg, hg, _ = run_simulation(s, generic, t_end=800.0)
+        assert np.array_equal(hf.decisions, hg.decisions)
+        assert np.array_equal(tf.post_event_queue, tg.post_event_queue)
 
 
 def _assert_threshold_matches_generic(marks, q0, x):
@@ -364,6 +344,70 @@ def test_threshold_scan_wide_dtype():
     _assert_threshold_matches_generic(marks, q0=big - 4, x=big - 3)
     _assert_threshold_matches_generic(marks, q0=big + 2, x=big)
     _assert_threshold_matches_generic([-1, -1, -1, 1, 1], q0=big + 3, x=big)
+
+
+def _assert_drain_matches_generic(s, params, q0, t_end):
+    fast_policy, slow_policy = WindowedDrainPolicy(params), WindowedDrainPolicy(params)
+    tf, hf, _ = run_simulation(s, fast_policy, q0=q0, t_end=t_end)
+    tg, hg, _ = run_simulation(s, _Delegating(slow_policy), q0=q0, t_end=t_end)
+    for fast, generic in (
+        (hf.decisions, hg.decisions),
+        (tf.pre_event_queue, tg.pre_event_queue),
+        (tf.post_event_queue, tg.post_event_queue),
+    ):
+        assert fast.dtype == generic.dtype
+        assert np.array_equal(fast, generic)
+    # the kernel leaves the budget where decide() leaves it
+    assert fast_policy.credit == slow_policy.credit
+    assert fast_policy.last_time == slow_policy.last_time
+    return hf
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # short gaps, and long quiet stretches that refill the credit
+    gaps=st.lists(st.one_of(st.floats(0.01, 2.0), st.floats(20.0, 200.0)), min_size=1,
+                  max_size=300),
+    data=st.data(),
+    q0=st.integers(0, 6),
+    window=st.sampled_from([0.0, 0.5, 3.0, 1e5]),  # 1e5 outlasts every stream
+    p=st.sampled_from([0.2, 0.5]),
+    t_end_frac=st.sampled_from([0.3, 0.999, 1.0]),
+)
+def test_windowed_drain_kernel_matches_generic_property(gaps, data, q0, window, p, t_end_frac):
+    times = np.cumsum(gaps)
+    # arrival-heavy marks, so credit runs out as well as certification failing
+    marks = data.draw(st.lists(st.sampled_from([1, 1, -1]), min_size=len(gaps),
+                               max_size=len(gaps)))
+    horizon = float(times[-1]) + window
+    s = EventStream(times, marks, horizon)
+    params = ModelParams(0.9, p, window)
+    _assert_drain_matches_generic(s, params, q0, t_end_frac * float(times[-1]))
+
+
+@pytest.mark.parametrize("window", [0.0, 2.0, 40.0, 5000.0])
+@pytest.mark.parametrize("q0", [0, 3, 6])
+def test_windowed_drain_kernel_matches_generic_on_generated_streams(window, q0):
+    params = ModelParams(0.96875, 0.5, window)
+    s = generate_stream(params, 1500.0 + window, seed=int(window) + q0)
+    for t_end in (1500.0, 700.0):
+        hs = _assert_drain_matches_generic(s, params, q0, t_end)
+        assert hs.decisions.any()
+
+
+@pytest.mark.parametrize("p, q0, pairs, expected", [
+    # a burst spends the initial credit, a quiet stretch refills it, and the
+    # next burst diverts again
+    (0.5, 0, [(1.0 + 0.01 * i, 1) for i in range(6)] + [(100.0 + 0.01 * i, 1) for i in range(6)],
+     [0, 1, 0, 0, 0, 0] + [1] * 6),
+    # credit of exactly 1.0 (1 + 0.25 * 2 - 1 + 0.25 * 2) still pays for a diversion
+    (0.25, 2, [(2.0, 1), (4.0, 1)], [1, 1]),
+])
+def test_windowed_drain_kernel_hand_streams(p, q0, pairs, expected):
+    params = ModelParams(0.9, p, 0.0)  # W = 0 certifies on the queue alone
+    s = hand_stream(pairs, pairs[-1][0] + 1.0, params)
+    hs = _assert_drain_matches_generic(s, params, q0, s.horizon)
+    assert hs.decisions.tolist() == expected
 
 
 # -- the one-buffer data path ---------------------------------------------------

@@ -45,10 +45,15 @@ def test_stream_invariants_enforced():
         EventStream(np.array([0.0]), np.array([1]), 5.0)
 
 
-@pytest.mark.parametrize("bad", [255, 257, -255, 0, 2.0])
-@pytest.mark.parametrize("form", ["int64", "float", "list"])
+@pytest.mark.parametrize("form, bad", [
+    (form, bad) for form in ("int64", "float", "list") for bad in (255, 257, -255, 0, 2.0)
+] + [
+    # an int64 array has already truncated a fractional mark
+    (form, bad) for form in ("float", "list") for bad in (1.5, -1.9, 0.999)
+])
 def test_out_of_range_marks_rejected_before_narrowing(form, bad):
-    # int8 would wrap 255 to -1 and 257 to 1: the check must see the wide value
+    # int8 would wrap 255 to -1 and 257 to 1, and an integer cast truncates
+    # 1.5 to 1: the check must see the value as given
     marks = [1, bad, -1]
     if form == "int64":
         marks = np.array(marks, dtype=np.int64)
