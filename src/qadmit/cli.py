@@ -1,11 +1,15 @@
 """Experiment harness: config-driven sweeps with reproducible fan-out.
 
-Subcommands ``simulate``, ``analytic``, ``excursion``, ``phase``,
-``conserve``, ``diagnostic`` each accept ``--config <json>`` plus field
-overrides (CLI > file > defaults).  Every run directory receives a
-manifest echoing the exact configuration, the package version, and the
-master seed.  Replications are keyed by (cell, seed) index, so results are
-byte-identical regardless of worker count.
+``RunConfig`` is the one list of config fields and ``RUNNERS`` the one
+list of experiment kinds (``simulate``, ``analytic``, ``excursion``,
+``phase``, ``conserve``, ``diagnostic``), each mapped to the function that
+writes its run directory.  Each kind is a subcommand taking
+``--config <json>`` plus one flag per field, named after it (``--out`` for
+``out_dir``); precedence is CLI > file > defaults.  Every value is checked
+against its field's annotation before any file is written.  Every run
+directory receives a manifest echoing the exact configuration, the package
+version, and the master seed.  Replications are keyed by (cell, seed)
+index, so results are byte-identical regardless of worker count.
 
 Exit codes: 0 success, 1 runtime failure, 2 config parse error,
 3 validation error; failures print a one-line JSON object to stderr.
@@ -23,6 +27,7 @@ import math
 import os
 import subprocess
 import sys
+import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import metadata
@@ -42,8 +47,6 @@ from .sim import run_simulation
 from .stream import ModelParams, generate_stream, replication_seed
 
 logger = logging.getLogger("qadmit")
-
-EXPERIMENT_KINDS = ("simulate", "analytic", "excursion", "phase", "conserve", "diagnostic")
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -78,36 +81,79 @@ class RunConfig:
     trajectory_csv: bool = False
 
 
-_REQUIRED_FIELDS = ("kind", "p", "lambdas")
+def _field_type(hint) -> tuple[type, bool, bool]:
+    """(element type, is a list, may be None) of a RunConfig annotation."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return args[0], True, False
+    if args:  # `T | None`
+        return args[0], False, True
+    return hint, False, False
+
+
+# every RunConfig field in declaration order, which the flags follow
+_FIELD_TYPES = {name: _field_type(hint) for name, hint in typing.get_type_hints(RunConfig).items()}
+_REQUIRED_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig)
+                         if f.default is dataclasses.MISSING)
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a finite number", bool: "true or false"}
+
+
+def _is_a(value, typ: type) -> bool:
+    """Whether a JSON value holds a `typ`; a bool is no number, and an int passes as a float."""
+    if typ is float:
+        return type(value) is int or (isinstance(value, float) and math.isfinite(value))
+    if typ is int:
+        return type(value) is int
+    return isinstance(value, typ)
+
+
+def _check_type(name: str, value) -> None:
+    typ, many, nullable = _FIELD_TYPES[name]
+    if value is None and nullable:
+        return
+    if many:
+        ok = isinstance(value, (list, tuple)) and all(_is_a(v, typ) for v in value)
+    else:
+        ok = _is_a(value, typ)
+    if not ok:
+        what = "a list of numbers" if many else _TYPE_NAMES[typ] + (" or null" if nullable else "")
+        raise ConfigurationError(f"field `{name}` must be {what}, got {value!r}")
 
 
 def config_from_mapping(data: dict) -> RunConfig:
-    """Build and validate a RunConfig from a parsed JSON mapping."""
+    """Build and validate a RunConfig from a parsed JSON mapping.
+
+    Values keep the type they were given (`"k": 2` stays 2); list fields
+    become float tuples once every entry is known to be a number.
+    """
     for name in _REQUIRED_FIELDS:
         if name not in data:
             raise ConfigurationError(f"missing required field `{name}`")
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(data) - known
+    unknown = set(data) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
-    if data.get("kind") == "conserve" and "policy" not in data:
+    if data["kind"] == "conserve" and "policy" not in data:
         data = data | {"policy": "auto"}  # pick by window: online at W=0, lookahead otherwise
-    cfg = RunConfig(**{k: _coerce(k, v) for k, v in data.items()})
+    cfg = RunConfig(**data)
     validate_config(cfg)
+    for name, (_, many, _) in _FIELD_TYPES.items():
+        if many:
+            setattr(cfg, name, tuple(float(v) for v in getattr(cfg, name)))
     return cfg
 
 
-def _coerce(key: str, value):
-    if key in ("lambdas", "c_values"):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigurationError(f"field `{key}` must be a list of numbers")
-        return tuple(float(v) for v in value)
-    return value
-
-
 def validate_config(cfg: RunConfig) -> None:
-    if cfg.kind not in EXPERIMENT_KINDS:
+    """Reject a config before any file is written.
+
+    `kind` and `policy` are looked up by value, so a value of any other
+    type is unknown; every other field's type is checked before its range.
+    """
+    if not isinstance(cfg.kind, str) or cfg.kind not in RUNNERS:
         raise ConfigurationError(f"unknown experiment kind `{cfg.kind}`")
+    if not (cfg.kind == "conserve" and cfg.policy == "auto"):
+        parse_policy_spec(cfg.policy)
+    for name, value in vars(cfg).items():
+        _check_type(name, value)
     if not (0.0 < cfg.p < 1.0):
         raise ConfigurationError(f"field `p` must be in (0,1), got {cfg.p}")
     if not cfg.lambdas:
@@ -125,11 +171,9 @@ def validate_config(cfg: RunConfig) -> None:
             f"field `lambdas` must lie in ({1.0 - cfg.p}, 1) for kind `{cfg.kind}`"
         )
     _parse_window_rule(cfg.window_rule)
-    if not (cfg.kind == "conserve" and cfg.policy == "auto"):
-        parse_policy_spec(cfg.policy)
     if cfg.seeds < 1:
         raise ConfigurationError(f"field `seeds` must be >= 1, got {cfg.seeds}")
-    if cfg.horizon <= 0 or not math.isfinite(cfg.horizon):
+    if cfg.horizon <= 0:
         raise ConfigurationError(f"field `horizon` must be positive, got {cfg.horizon}")
     if not (0.0 <= cfg.burn_in < 1.0):
         raise ConfigurationError(f"field `burn_in` must be in [0,1), got {cfg.burn_in}")
@@ -145,8 +189,7 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigurationError(
                 f"field `n_samples` must be >= {least} for kind `{cfg.kind}`, got {cfg.n_samples}"
             )
-        # an unset q_ref is resolved at run time to a value >= 0
-        _excursion_geometry(cfg, 0.0 if cfg.q_ref is None else cfg.q_ref)
+        _excursion_config(cfg, resolve_q_ref=False)
 
 
 def _parse_window_rule(rule: str):
@@ -168,24 +211,27 @@ def _parse_window_rule(rule: str):
 
 
 def _fmt(value) -> str:
-    """Full round-trip numeric formatting for CSV cells."""
-    if value is None:
+    """Full round-trip numeric formatting for CSV cells; None and NaN are empty."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return repr(value)
-    return str(value)
+    return str(int(value)) if isinstance(value, bool) else str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
+def _write_rows(path: Path, header: list[str], rows) -> None:
+    """A header line, then one line per row of cells; csv writes a float as its repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) if col in row else "" for col in header])
+        writer.writerows(rows)
+
+
+def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
+    _write_rows(path, header,
+                ([_fmt(row[col]) if col in row else "" for col in header] for row in rows))
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _version_string() -> str:
@@ -216,9 +262,12 @@ def _write_manifest(cfg: RunConfig, out_dir: Path) -> None:
         "master_seed": cfg.master_seed,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
+
+
+_SUMMARY_MEANS = (
+    "n_events", "mean_queue_event", "mean_queue_time", "diversion_rate", "wasted_rate",
+)
 
 
 def _simulate_cell(task: tuple) -> dict:
@@ -237,27 +286,13 @@ def _simulate_cell(task: tuple) -> dict:
         stream, policy, q0=cfg.q0, t_end=cfg.horizon, burn_in=cfg.burn_in
     )
     if trajectory_dir is not None:
-        rows = [
-            {
-                "n": i + 1,
-                "time": float(stream.times[i]),
-                "mark": int(stream.marks[i]),
-                "H": int(trace.decisions[i]),
-                "Q_pre": int(traj.pre_event_queue[i]),
-                "Q_post": int(traj.post_event_queue[i]),
-            }
-            for i in range(traj.pre_event_queue.size)
-        ]
-        _write_csv(trajectory_dir / f"trajectory_lam{cell_idx}_seed{rep_idx}.csv",
-                   ["n", "time", "mark", "H", "Q_pre", "Q_post"], rows)
-    return {
-        "seed": rep_idx,
-        "n_events": m.n_events,
-        "mean_queue_event": m.mean_queue_event,
-        "mean_queue_time": m.mean_queue_time,
-        "diversion_rate": m.diversion_rate,
-        "wasted_rate": m.wasted_rate,
-    }
+        n = m.n_events
+        columns = (stream.times[:n], stream.marks[:n], trace.decisions,
+                   traj.pre_event_queue, traj.post_event_queue)
+        _write_rows(trajectory_dir / f"trajectory_lam{cell_idx}_seed{rep_idx}.csv",
+                    ["n", "time", "mark", "H", "Q_pre", "Q_post"],
+                    zip(range(1, n + 1), *(c.tolist() for c in columns)))
+    return {"seed": rep_idx} | {key: getattr(m, key) for key in _SUMMARY_MEANS}
 
 
 def _run_grid(cfg: RunConfig, cells: list[tuple[float, float, str]],
@@ -291,11 +326,6 @@ def _feasible_lambdas(cfg: RunConfig) -> list[float]:
         else:
             logger.warning("skipping infeasible cell lambda=%s (needs > %s)", lam, 1.0 - cfg.p)
     return feasible
-
-
-_SUMMARY_MEANS = (
-    "n_events", "mean_queue_event", "mean_queue_time", "diversion_rate", "wasted_rate",
-)
 
 
 def _cell_rows(base: dict, results: list[dict]) -> list[dict]:
@@ -407,9 +437,12 @@ plt.show()
 """
 
 
-def _write_plot_stub(out_dir: Path, csv_name: str, y_col: str, group_col: str) -> None:
-    stub = _PLOT_STUB.format(csv_name=csv_name, y_col=y_col, group_col=group_col)
-    (out_dir / f"plot_{csv_name.removesuffix('.csv')}.py").write_text(stub)
+def _write_sweep(out_dir: Path, name: str, columns: list[str], rows: list[dict],
+                 y_col: str, group_col: str) -> None:
+    """A sweep's `<name>.csv` and the `plot_<name>.py` stub that draws its aggregates."""
+    _write_csv(out_dir / f"{name}.csv", columns, rows)
+    stub = _PLOT_STUB.format(csv_name=f"{name}.csv", y_col=y_col, group_col=group_col)
+    (out_dir / f"plot_{name}.py").write_text(stub)
 
 
 def _run_simulate(cfg: RunConfig, out_dir: Path) -> None:
@@ -420,40 +453,40 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> None:
         for r in results:
             summary = {"lambda": lam, "p": cfg.p, "window": window, "policy": cfg.policy,
                        "q0": cfg.q0} | r
-            with open(out_dir / f"run_lam{li}_seed{r['seed']}.json", "w") as fh:
-                json.dump(summary, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(out_dir / f"run_lam{li}_seed{r['seed']}.json", summary)
 
 
 def _run_analytic(cfg: RunConfig, out_dir: Path) -> None:
-    rows = online_scaling_table(cfg.p, cfg.lambdas)
-    table = [
-        {
-            "lambda": r.arrival_rate, "x_star": r.x_star, "q_opt": r.q_opt,
-            "log_term": r.log_term, "ratio": r.ratio, "diversion_rate": r.diversion_rate,
-        }
-        for r in rows
-    ]
+    rows = [dataclasses.asdict(r) | {"lambda": r.arrival_rate}
+            for r in online_scaling_table(cfg.p, cfg.lambdas)]
     _write_csv(out_dir / "scaling.csv",
-               ["lambda", "x_star", "q_opt", "log_term", "ratio", "diversion_rate"], table)
+               ["lambda", "x_star", "q_opt", "log_term", "ratio", "diversion_rate"], rows)
 
 
-def _excursion_geometry(cfg: RunConfig, q_ref: float) -> ExcursionConfig:
-    """The base-path geometry of the single lambda with the given q_ref."""
+def _run_phase(cfg: RunConfig, out_dir: Path) -> None:
+    rows = phase_sweep(cfg)
+    _write_sweep(out_dir, "phase", PHASE_COLUMNS, rows, "mean_queue_event", "window_rule")
+
+
+def _run_conserve(cfg: RunConfig, out_dir: Path) -> None:
+    _write_sweep(out_dir, "conserve", CONSERVE_COLUMNS, conservation_sweep(cfg), "ratio", "c")
+
+
+def _excursion_config(cfg: RunConfig, resolve_q_ref: bool = True) -> tuple[ExcursionConfig, str]:
+    """Base-path geometry of the single lambda, and where its q_ref came from.
+
+    An unset q_ref resolves via reference_queue, or to 0 (a stand-in for
+    the value >= 0 it resolves to) when only the geometry is checked.
+    """
     lam = cfg.lambdas[0]
     params = ModelParams(lam, cfg.p, _parse_window_rule(cfg.window_rule)(lam))
+    q_ref, source = cfg.q_ref, "config"
+    if q_ref is None:
+        q_ref, source = (reference_queue(params, cfg.policy, seed=cfg.master_seed)
+                         if resolve_q_ref else (0.0, "unresolved"))
     return ExcursionConfig(
         params=params, k=cfg.k, epsilon=cfg.epsilon, zeta=cfg.zeta, phi=cfg.phi, q_ref=q_ref
-    )
-
-
-def _excursion_config(cfg: RunConfig) -> tuple[ExcursionConfig, str]:
-    """Geometry for the single lambda; an unset q_ref resolves via reference_queue."""
-    if cfg.q_ref is not None:
-        return _excursion_geometry(cfg, cfg.q_ref), "config"
-    config = _excursion_geometry(cfg, 0.0)
-    q_ref, source = reference_queue(config.params, cfg.policy, seed=cfg.master_seed)
-    return dataclasses.replace(config, q_ref=q_ref), source
+    ), source
 
 
 PER_SAMPLE_COLUMNS = ["sample", "e1", "e3", "e4", "e5", "z", "Y", "V", "J", "L0"]
@@ -462,28 +495,18 @@ PER_SAMPLE_COLUMNS = ["sample", "e1", "e3", "e4", "e5", "z", "Y", "V", "J", "L0"
 def _run_excursion(cfg: RunConfig, out_dir: Path) -> None:
     config, _ = _excursion_config(cfg)
     report, indicators = estimate_event_probs(config, cfg.n_samples, cfg.master_seed)
-    payload = {
+    payload = dataclasses.asdict(report) | {
         "lambda": cfg.lambdas[0], "p": cfg.p, "window": config.params.window,
         "k": cfg.k, "epsilon": cfg.epsilon, "zeta": cfg.zeta, "phi": cfg.phi,
         "q_ref": config.q_ref,
-        "n_samples": report.n_samples,
-        "estimates": {
-            name: {"mean": e.mean, "se": e.se, "hits": e.hits, "n": e.n}
-            for name, e in report.estimates.items()
-        },
-        "correlations": report.correlations,
-        "e5_log_prob_per_window": report.e5_log_prob_per_window,
-        "z_given_hit": dataclasses.asdict(report.z_given_hit) if report.z_given_hit else None,
     }
-    with open(out_dir / "excursion.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    for estimate in payload["estimates"].values():
+        del estimate["name"]
+    _write_json(out_dir / "excursion.json", payload)
     if cfg.per_sample_csv:
-        rows = [
-            {"sample": i, "e1": int(r[0]), "e3": int(r[1]), "e4": int(r[2]), "e5": int(r[3])}
-            for i, r in enumerate(indicators)
-        ]
-        _write_csv(out_dir / "excursion_samples.csv", PER_SAMPLE_COLUMNS, rows)
+        empty = [""] * (len(PER_SAMPLE_COLUMNS) - 5)  # the policy-dependent columns
+        _write_rows(out_dir / "excursion_samples.csv", PER_SAMPLE_COLUMNS,
+                    ([i, *r, *empty] for i, r in enumerate(indicators.astype(int).tolist())))
 
 
 def _run_diagnostic(cfg: RunConfig, out_dir: Path) -> None:
@@ -491,58 +514,35 @@ def _run_diagnostic(cfg: RunConfig, out_dir: Path) -> None:
     report = diversion_idling_diagnostic(
         config, cfg.policy, cfg.n_samples, cfg.master_seed, q_ref_source=source
     )
-    payload = {
+    payload = dataclasses.asdict(report) | {
         "lambda": cfg.lambdas[0], "p": cfg.p, "window": config.params.window,
-        "policy": cfg.policy,
-        "q_ref": report.q_ref, "q_ref_source": report.q_ref_source,
-        "n_samples": report.n_samples, "warmup_time": report.warmup_time,
-        "p_e1": dataclasses.asdict(report.p_e1),
-        "p_e2": dataclasses.asdict(report.p_e2),
-        "n_conditional": report.n_conditional,
-        "low_conditional": report.low_conditional,
-        "y_over_b": dataclasses.asdict(report.y_over_b),
-        "v_last_low": dataclasses.asdict(report.v_last_low),
-        "wasted": dataclasses.asdict(report.wasted),
-        "low_at_origin": dataclasses.asdict(report.low_at_origin),
     }
-    with open(out_dir / "diagnostic.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    for key in ("per_sample", "warmup_shift_ok", "p_e2_doubled"):
+        del payload[key]
+    _write_json(out_dir / "diagnostic.json", payload)
     if cfg.per_sample_csv:
-        rows = [
-            {
-                "sample": r["sample"], "e1": int(r["e1"]), "e3": int(r["e3"]),
-                "e4": int(r["e4"]), "e5": int(r["e5"]), "z": r["z"],
-                "Y": r["Y"], "V": r["V"], "J": r["J"], "L0": r["L0"],
-            }
-            for r in report.per_sample
-        ]
-        _write_csv(out_dir / "diagnostic_samples.csv", PER_SAMPLE_COLUMNS, rows)
+        _write_csv(out_dir / "diagnostic_samples.csv", PER_SAMPLE_COLUMNS, report.per_sample)
+
+
+# The experiment kinds, each with the runner that fills its run directory.
+# A runner looks up the library functions it calls (phase_sweep,
+# estimate_event_probs, ...) as module globals when it runs.
+RUNNERS = {
+    "simulate": _run_simulate,
+    "analytic": _run_analytic,
+    "excursion": _run_excursion,
+    "phase": _run_phase,
+    "conserve": _run_conserve,
+    "diagnostic": _run_diagnostic,
+}
 
 
 def run_config(cfg: RunConfig) -> int:
-    """Dispatch a validated config to its experiment; returns an exit code."""
+    """Run a validated config in its run directory; returns an exit code."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(cfg, out_dir)
-    if cfg.kind == "simulate":
-        _run_simulate(cfg, out_dir)
-    elif cfg.kind == "analytic":
-        _run_analytic(cfg, out_dir)
-    elif cfg.kind == "excursion":
-        _run_excursion(cfg, out_dir)
-    elif cfg.kind == "phase":
-        rows = phase_sweep(cfg)
-        _write_csv(out_dir / "phase.csv", PHASE_COLUMNS, rows)
-        _write_plot_stub(out_dir, "phase.csv", "mean_queue_event", "window_rule")
-    elif cfg.kind == "conserve":
-        rows = conservation_sweep(cfg)
-        _write_csv(out_dir / "conserve.csv", CONSERVE_COLUMNS, rows)
-        _write_plot_stub(out_dir, "conserve.csv", "ratio", "c")
-    elif cfg.kind == "diagnostic":
-        _run_diagnostic(cfg, out_dir)
-    else:  # pragma: no cover - validate_config guards this
-        raise ConfigurationError(f"unknown experiment kind `{cfg.kind}`")
+    RUNNERS[cfg.kind](cfg, out_dir)
     return EXIT_OK
 
 
@@ -587,28 +587,23 @@ def _emit_error(message: str, code: int) -> None:
     print(json.dumps({"error": message, "exit": code}), file=sys.stderr)
 
 
-def _add_override_args(sub: argparse.ArgumentParser) -> None:
+def _float_list(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
+def _add_field_args(sub: argparse.ArgumentParser) -> None:
+    """`--config`, then a flag per field but `kind` (`--out` for `out_dir`)."""
     sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--p", type=float)
-    sub.add_argument("--lambdas", help="comma-separated arrival rates")
-    sub.add_argument("--window-rule", dest="window_rule")
-    sub.add_argument("--policy")
-    sub.add_argument("--horizon", type=float)
-    sub.add_argument("--seeds", type=int)
-    sub.add_argument("--master-seed", dest="master_seed", type=int)
-    sub.add_argument("--out", dest="out_dir")
-    sub.add_argument("--q0", type=int)
-    sub.add_argument("--burn-in", dest="burn_in", type=float)
-    sub.add_argument("--workers", type=int)
-    sub.add_argument("--n-samples", dest="n_samples", type=int)
-    sub.add_argument("--k", type=float)
-    sub.add_argument("--epsilon", type=float)
-    sub.add_argument("--zeta", type=float)
-    sub.add_argument("--phi", type=float)
-    sub.add_argument("--q-ref", dest="q_ref", type=float)
-    sub.add_argument("--c-values", dest="c_values", help="comma-separated c grid")
-    sub.add_argument("--per-sample-csv", dest="per_sample_csv", action="store_true", default=None)
-    sub.add_argument("--trajectory-csv", dest="trajectory_csv", action="store_true", default=None)
+    for name, (typ, many, _) in _FIELD_TYPES.items():
+        if name == "kind":
+            continue
+        flag = "--out" if name == "out_dir" else "--" + name.replace("_", "-")
+        if typ is bool:
+            sub.add_argument(flag, dest=name, action="store_true", default=None)
+        elif many:
+            sub.add_argument(flag, dest=name, type=_float_list, help="comma-separated numbers")
+        else:
+            sub.add_argument(flag, dest=name, type=typ)
 
 
 def main(argv=None) -> int:
@@ -618,28 +613,16 @@ def main(argv=None) -> int:
         description="Admission-control queueing experiments (simulation, oracles, excursions).",
     )
     subparsers = parser.add_subparsers(dest="kind", required=True)
-    for kind in EXPERIMENT_KINDS:
-        _add_override_args(subparsers.add_parser(kind))
-    args = parser.parse_args(argv)
+    for kind in RUNNERS:
+        _add_field_args(subparsers.add_parser(kind))
+    args = vars(parser.parse_args(argv))
 
     data: dict = {}
-    if args.config:
-        data, code = _read_config(args.config)
+    if config := args.pop("config"):
+        data, code = _read_config(config)
         if code != EXIT_OK:
             return code
-    data["kind"] = args.kind
-    for key in (
-        "p", "window_rule", "policy", "horizon", "seeds", "master_seed", "out_dir",
-        "q0", "burn_in", "workers", "n_samples", "k", "epsilon", "zeta", "phi",
-        "q_ref", "per_sample_csv", "trajectory_csv",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            data[key] = value
-    if args.lambdas is not None:
-        data["lambdas"] = [float(v) for v in args.lambdas.split(",")]
-    if args.c_values is not None:
-        data["c_values"] = [float(v) for v in args.c_values.split(",")]
+    data |= {key: value for key, value in args.items() if value is not None}
     return _run_mapping(data)
 
 

@@ -197,6 +197,11 @@ class EventEstimate:
     hits: int
     n: int
 
+    @classmethod
+    def from_hits(cls, name: str, hits: int, n: int) -> "EventEstimate":
+        """The hit fraction of n samples with its Wilson-scale se."""
+        return cls(name, hits / n, wilson_halfwidth(hits, n), hits, n)
+
 
 @dataclass
 class ExcursionReport:
@@ -251,16 +256,10 @@ def estimate_event_probs(
         if ev.z_value is not None:
             z_hits.append(ev.z_value)
 
-    estimates = {}
-    for j, name in enumerate(_EVENT_NAMES):
-        hits = int(rows[:, j].sum())
-        estimates[name] = EventEstimate(
-            name=name,
-            mean=hits / n_samples,
-            se=wilson_halfwidth(hits, n_samples),
-            hits=hits,
-            n=n_samples,
-        )
+    estimates = {
+        name: EventEstimate.from_hits(name, int(rows[:, j].sum()), n_samples)
+        for j, name in enumerate(_EVENT_NAMES)
+    }
     p5 = estimates["e5"].mean
     report = ExcursionReport(
         estimates=estimates,
@@ -463,8 +462,8 @@ def diversion_idling_diagnostic(
         q_ref_source=q_ref_source,
         n_samples=n_samples,
         warmup_time=warmup_time,
-        p_e1=EventEstimate("e1", e1_hits / n_samples, wilson_halfwidth(e1_hits, n_samples), e1_hits, n_samples),
-        p_e2=EventEstimate("e2", e2_hits / n_samples, wilson_halfwidth(e2_hits, n_samples), e2_hits, n_samples),
+        p_e1=EventEstimate.from_hits("e1", e1_hits, n_samples),
+        p_e2=EventEstimate.from_hits("e2", e2_hits, n_samples),
         n_conditional=len(cond),
         low_conditional=len(cond) < 50,
         y_over_b=_mean_ci([r["Y"] / config.buffer_len for r in cond]),
@@ -475,8 +474,7 @@ def diversion_idling_diagnostic(
     )
     if check_warmup_sensitivity:
         rows2 = _diagnostic_rows(config, policy_spec, n_samples, seed + 1, 2.0 * warmup_time)
-        e2b = sum(r["e2"] for r in rows2)
-        est2 = EventEstimate("e2", e2b / n_samples, wilson_halfwidth(e2b, n_samples), e2b, n_samples)
+        est2 = EventEstimate.from_hits("e2", sum(r["e2"] for r in rows2), n_samples)
         report.p_e2_doubled = est2
         ci = max(report.p_e2.se, est2.se)
         report.warmup_shift_ok = abs(est2.mean - report.p_e2.mean) < max(ci, 1.0 / n_samples)

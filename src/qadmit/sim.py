@@ -85,14 +85,16 @@ def _simulate_generic(stream: EventStream, policy, path: np.ndarray) -> np.ndarr
     w = float(getattr(policy, "lookahead", 0.0))
     times = stream.times
     marks_l = stream.marks[:n_sim].tolist()
-    ends = _window_end_indices(times, w, n_sim)
+    ends = _window_end_indices(times, w, n_sim).tolist()
     hs = np.zeros(n_sim, dtype=np.int8)
     q = int(path[0])
     for i in range(n_sim):
         mk = marks_l[i]
         if mk == 1:
             t = float(times[i])
-            win = [(float(times[j]) - t, int(stream.marks[j])) for j in range(i, ends[i] + 1)]
+            e = ends[i] + 1
+            # float64 differences, as float(times[j]) - t gives them one by one
+            win = list(zip((times[i:e] - t).tolist(), stream.marks[i:e].tolist()))
             state = PolicyState(queue=q, window=win, now=t)
             if policy.decide(state):
                 hs[i] = 1

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -405,3 +406,122 @@ def test_main_validation_error_exit(tmp_path, capsys):
     assert rc == EXIT_VALIDATION
     err = json.loads(capsys.readouterr().err.strip())
     assert "`p`" in err["error"]
+
+
+EXCURSION_BASE = dict(
+    kind="excursion", p=0.5, lambdas=[0.9], window_rule="constant:2", epsilon=0.3,
+    n_samples=100, q_ref=0.1,
+)
+
+
+@pytest.mark.parametrize("base, field, value", [
+    (MINIMAL_SIM, "seeds", 2.5),
+    (MINIMAL_SIM, "master_seed", 1.5),
+    (EXCURSION_BASE, "n_samples", 150.5),
+    (MINIMAL_SIM, "q0", 1.5),
+    (MINIMAL_SIM, "workers", 1.5),
+    (MINIMAL_SIM, "workers", True),
+    (EXCURSION_BASE, "k", float("nan")),
+    (EXCURSION_BASE, "q_ref", float("inf")),
+    (MINIMAL_SIM, "horizon", "100"),
+    (MINIMAL_SIM, "lambdas", [0.9, "0.95"]),
+    (MINIMAL_SIM, "lambdas", 0.9),
+    (MINIMAL_SIM, "window_rule", 3),
+    (MINIMAL_SIM, "out_dir", 3),
+    (MINIMAL_SIM, "trajectory_csv", 1),
+])
+def test_mistyped_field_rejected_before_any_file(tmp_path, capsys, base, field, value):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, **(base | {"out_dir": str(out), field: value}))
+    assert run_from_config(cfg) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit"] == EXIT_VALIDATION
+    assert f"`{field}`" in err["error"]
+    assert not out.exists()
+
+
+def test_int_for_float_field_kept_as_given(tmp_path):
+    out = tmp_path / "ex"
+    cfg = config_from_mapping(EXCURSION_BASE | {"k": 2, "phi": 40, "out_dir": str(out)})
+    assert type(cfg.k) is int and cfg.lambdas == (0.9,)
+    from qadmit.cli import run_config
+
+    assert run_config(cfg) == EXIT_OK
+    text = (out / "excursion.json").read_text()
+    assert '"k": 2,' in text and '"phi": 40,' in text
+
+
+@pytest.mark.parametrize("flag", ["--lambdas", "--c-values", "--seeds"])
+def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, flag):
+    value = "abc" if flag == "--seeds" else "0.9,abc"
+    argv = ["phase", "--p", "0.5", "--lambdas", "0.9", flag, value, "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+KIND_RUNS = {
+    "simulate": (["--lambdas", "0.875", "--horizon", "200", "--seeds", "2", "--trajectory-csv"],
+                 {"run_lam0_seed0.json", "run_lam0_seed1.json",
+                  "trajectory_lam0_seed0.csv", "trajectory_lam0_seed1.csv"}),
+    "analytic": (["--lambdas", "0.875,0.9375"], {"scaling.csv"}),
+    "excursion": (["--lambdas", "0.9", "--window-rule", "constant:2", "--epsilon", "0.3",
+                   "--n-samples", "100", "--q-ref", "0.1", "--per-sample-csv"],
+                  {"excursion.json", "excursion_samples.csv"}),
+    "phase": (["--lambdas", "0.875", "--horizon", "200", "--seeds", "2"],
+              {"phase.csv", "plot_phase.py"}),
+    "conserve": (["--lambdas", "0.875", "--c-values", "0,1", "--horizon", "200", "--seeds", "1"],
+                 {"conserve.csv", "plot_conserve.py"}),
+    "diagnostic": (["--lambdas", "0.9", "--window-rule", "constant:1", "--epsilon", "0.3",
+                    "--n-samples", "3", "--per-sample-csv"],
+                   {"diagnostic.json", "diagnostic_samples.csv"}),
+}
+
+
+def test_kind_runs_cover_the_kind_table():
+    from qadmit.cli import RUNNERS
+
+    assert list(RUNNERS) == list(KIND_RUNS)
+
+
+@pytest.mark.parametrize("kind", list(KIND_RUNS))
+def test_each_kind_writes_exactly_its_files(tmp_path, monkeypatch, kind):
+    from qadmit import excursion
+
+    monkeypatch.setattr(excursion, "DEFAULT_WARMUP_EVENTS", 500)
+    args, files = KIND_RUNS[kind]
+    out = tmp_path / kind
+    assert main([kind, "--p", "0.5", "--workers", "1", "--out", str(out), *args]) == EXIT_OK
+    assert {f.name for f in out.iterdir()} == files | {"manifest.json"}
+
+
+EVERY_FLAG = [
+    "--p", "0.5", "--lambdas", "0.9,0.95", "--window-rule", "log:2", "--policy", "admit-all",
+    "--horizon", "10", "--seeds", "3", "--master-seed", "4", "--out", "d", "--q0", "5",
+    "--burn-in", "0.2", "--workers", "2", "--n-samples", "7", "--k", "1.5", "--epsilon", "0.1",
+    "--zeta", "2", "--phi", "3", "--q-ref", "0.5", "--c-values", "0,1", "--per-sample-csv",
+    "--trajectory-csv",
+]
+
+
+def test_every_flag_maps_to_its_field(monkeypatch):
+    from qadmit import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "_run_mapping", lambda data: seen.append(data) or EXIT_OK)
+    assert main(["simulate", *EVERY_FLAG]) == EXIT_OK
+    expected = {
+        "kind": "simulate", "p": 0.5, "lambdas": [0.9, 0.95], "window_rule": "log:2",
+        "policy": "admit-all", "horizon": 10.0, "seeds": 3, "master_seed": 4, "out_dir": "d",
+        "q0": 5, "burn_in": 0.2, "workers": 2, "n_samples": 7, "k": 1.5, "epsilon": 0.1,
+        "zeta": 2.0, "phi": 3.0, "q_ref": 0.5, "c_values": [0.0, 1.0],
+        "per_sample_csv": True, "trajectory_csv": True,
+    }
+    assert seen[0] == expected
+    assert {k: type(v) for k, v in seen[0].items()} == {k: type(v) for k, v in expected.items()}
+    assert set(expected) == {f.name for f in dataclasses.fields(RunConfig)}
+    # an absent flag leaves its field to the file or the default
+    assert main(["phase"]) == EXIT_OK
+    assert seen[1] == {"kind": "phase"}

@@ -286,6 +286,35 @@ def test_fast_paths_match_generic_reference():
         assert np.array_equal(tf.post_event_queue, tg.post_event_queue)
 
 
+class _Recording(_Delegating):
+    """Delegates, and keeps each (now, window) the generic path shows it."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.seen = []
+
+    def decide(self, state):
+        self.seen.append((state.now, state.window))
+        return super().decide(state)
+
+
+@pytest.mark.parametrize("window", [0.0, 0.7, 4.0, 50.0])
+def test_generic_windows_equal_the_per_element_build(window):
+    params = ModelParams(0.9, 0.5, window=window)
+    s = generate_stream(params, 300.0 + window, seed=81)
+    rec = _Recording(WindowedDrainPolicy(params) if window > 0 else ThresholdPolicy(2))
+    run_simulation(s, rec, t_end=300.0)
+    assert len(rec.seen) == int(((s.times <= 300.0) & (s.marks == 1)).sum())
+    for now, win in rec.seen:
+        i = int(np.searchsorted(s.times, now))
+        end = int(np.searchsorted(s.times, s.times[i] + window, side="right"))
+        # one float(times[j]) - now and one int(marks[j]) per window entry
+        expected = [(float(s.times[j]) - now, int(s.marks[j])) for j in range(i, end)]
+        assert win == expected
+        assert all(type(d) is float and type(m) is int for d, m in win)
+    assert max(len(win) for _, win in rec.seen) > (1 if window > 0 else 0)
+
+
 def _assert_threshold_matches_generic(marks, q0, x):
     times = np.arange(1.0, len(marks) + 1.0)
     s = EventStream(times, np.asarray(marks), horizon=len(marks) + 1.0)
