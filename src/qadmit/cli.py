@@ -25,7 +25,6 @@ import json
 import logging
 import math
 import os
-import subprocess
 import sys
 import typing
 from dataclasses import dataclass
@@ -202,8 +201,9 @@ def _parse_window_rule(rule: str):
                 c = float(rule.removeprefix(prefix))
             except ValueError:
                 raise ConfigurationError(f"bad window rule `{rule}`") from None
-            if c < 0:
-                raise ConfigurationError(f"window rule coefficient must be >= 0: `{rule}`")
+            if not 0 <= c < math.inf:
+                raise ConfigurationError(
+                    f"window rule coefficient must be finite and >= 0: `{rule}`")
             if prefix == "constant:":
                 return lambda lam: c
             return lambda lam: c * math.log(1.0 / (1.0 - lam))
@@ -236,23 +236,9 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _version_string() -> str:
     try:
-        version = metadata.version("qadmit")
+        return f"qadmit {metadata.version('qadmit')}"
     except metadata.PackageNotFoundError:
-        version = "0+unknown"
-    describe = ""
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        if out.returncode == 0:
-            describe = out.stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return f"qadmit {version}" + (f" ({describe})" if describe else "")
+        return "qadmit 0+unknown"
 
 
 def _write_manifest(cfg: RunConfig, out_dir: Path) -> None:
@@ -555,14 +541,19 @@ def run_from_config(path) -> int:
 
 
 def _read_config(path):
-    """(parsed JSON, EXIT_OK), or (None, EXIT_PARSE) after reporting why."""
+    """(parsed JSON object, EXIT_OK), or (None, EXIT_PARSE) after reporting why."""
     try:
         with open(path) as fh:
-            return json.load(fh), EXIT_OK
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
         _emit_error(f"config parse error: {exc}", EXIT_PARSE)
     except OSError as exc:
         _emit_error(f"cannot read config: {exc}", EXIT_PARSE)
+    else:
+        if isinstance(data, dict):
+            return data, EXIT_OK
+        what = type(data).__name__
+        _emit_error(f"config parse error: top level must be a JSON object, not {what}", EXIT_PARSE)
     return None, EXIT_PARSE
 
 

@@ -22,14 +22,13 @@ path)`` is the kernel that :func:`qadmit.sim.run_simulation` runs instead: it
 fills the post-event queue ``path[1:]`` of an int64 buffer whose ``path[0]``
 holds q0 and returns the int8 decisions.  Admit-all is the closed-form Lindley
 recursion, threshold a blocked clip-map scan in numpy, and windowed-drain a
-loop over a sliding-window minimum of the walk's prefix sums.  The two agree
+credit loop over per-event window lows from a sparse table.  The two agree
 decision for decision, which the tests pin down.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,35 +131,31 @@ def _clip_scan(marks: np.ndarray, q: int, x: int) -> np.ndarray:
 
 
 def _window_end_indices(times: np.ndarray, window: float, n_sim: int) -> np.ndarray:
-    # m[i] = index of the last event with Z <= Z_i + window, over the whole
-    # stream (windows of late in-horizon events may reach past t_end)
+    # index of the last event with Z <= Z_i + window, past t_end if need be
     return np.searchsorted(times, times[:n_sim] + window, side="right") - 1
 
 
-def _sliding_prefix_min(prefix: np.ndarray, ends: np.ndarray) -> list:
-    """min of prefix over indices [i+2, ends[i]+1] for each event i.
+def _window_lows(prefix: np.ndarray, ends: np.ndarray) -> list:
+    """min(0, min(prefix[i+2 : ends[i]+2]) - prefix[i+1]) for every event i.
 
-    None where the range is empty.  ``ends`` must be nondecreasing, which
-    holds because event times are sorted.
+    The lowest point of the walk after event i inside its window, 0 for an
+    empty range.  Sparse table: level j holds the min of every 2**j
+    consecutive prefix entries and answers the spans ends[i] - i in
+    [2**j, 2**(j+1)) from two overlapping blocks; one level is held at a time.
     """
-    mins: list = [None] * ends.size
-    dq: deque[int] = deque()
-    right = 1  # next prefix index to ingest
-    pl = prefix.tolist()
-    for i in range(ends.size):
-        hi = ends[i] + 1
-        while right <= hi:
-            v = pl[right]
-            while dq and pl[dq[-1]] >= v:
-                dq.pop()
-            dq.append(right)
-            right += 1
-        lo = i + 2
-        while dq and dq[0] < lo:
-            dq.popleft()
-        if dq and dq[0] <= hi:
-            mins[i] = pl[dq[0]]
-    return mins
+    start = prefix[1 : ends.size + 1]
+    low = start.copy()  # min(prefix[i+1], range min) - prefix[i+1] is the low
+    span = ends - np.arange(ends.size)
+    top = int(span.max(initial=0))
+    level, h = prefix, 1
+    while h <= top:
+        i = np.flatnonzero((span >= h) & (span < 2 * h))
+        low[i] = np.minimum(low[i], np.minimum(level[i + 2], level[ends[i] + 2 - h]))
+        if 2 * h <= top:
+            level = np.minimum(level[:-h], level[h:])
+        h *= 2
+    low -= start
+    return low.tolist()
 
 
 class AdmitAllPolicy:
@@ -274,38 +269,31 @@ class WindowedDrainPolicy:
     def simulate(self, stream: EventStream, path: np.ndarray) -> np.ndarray:
         n_sim = path.size - 1
         ends = _window_end_indices(stream.times, self.params.window, n_sim)
-        mins = _sliding_prefix_min(stream.prefix, ends)
-        prefix_l = stream.prefix.tolist()
+        lows = _window_lows(stream.prefix, ends)
         times_l = stream.times[:n_sim].tolist()
         marks_l = stream.marks[:n_sim].tolist()
-
-        hs = np.zeros(n_sim, dtype=np.int8)
         q = int(path[0])
+        qs, diverted = [], []
         rate = self.params.divert_budget
-        credit = self.credit
-        last_t = self.last_time
+        credit, last_t = self.credit, self.last_time
         for i in range(n_sim):
             if marks_l[i] == 1:
                 t = times_l[i]
                 if t > last_t:
                     credit += rate * (t - last_t)
                     last_t = t
-                divert = False
-                if credit >= 1.0:
-                    m = mins[i]
-                    low = 0 if m is None else min(0, m - prefix_l[i + 1])
-                    if q + low >= 1:
-                        divert = True
-                        credit -= 1.0
-                if divert:
-                    hs[i] = 1
+                if credit >= 1.0 and q + lows[i] >= 1:
+                    credit -= 1.0
+                    diverted.append(i)
                 else:
                     q += 1
             elif q > 0:
                 q -= 1
-            path[i + 1] = q
-        self.credit = credit
-        self.last_time = last_t
+            qs.append(q)
+        path[1:] = qs
+        self.credit, self.last_time = credit, last_t
+        hs = np.zeros(n_sim, dtype=np.int8)
+        hs[diverted] = 1
         return hs
 
 

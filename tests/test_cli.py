@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import json
 import math
+import subprocess
+from importlib import metadata
 
 import pytest
 
@@ -78,6 +80,36 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 def test_missing_file_is_parse_error(tmp_path):
     assert run_from_config(tmp_path / "absent.json") == EXIT_PARSE
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", "5", '"simulate"'])
+def test_non_object_config_is_parse_error(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    path.write_text(content)
+    out = tmp_path / "out"
+    assert run_from_config(path) == EXIT_PARSE
+    assert main(["simulate", "--config", str(path), "--p", "0.5", "--lambdas", "0.9",
+                 "--out", str(out)]) == EXIT_PARSE
+    errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()
+              if line.startswith("{")]
+    assert [e["exit"] for e in errors] == [EXIT_PARSE, EXIT_PARSE]
+    assert all("must be a JSON object" in e["error"] for e in errors)
+    assert not out.exists()
+
+
+def test_manifest_version_spawns_no_process(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_config started a process")
+
+    monkeypatch.setattr(subprocess, "run", refuse)
+    cfg = write_config(tmp_path, out_dir=str(tmp_path / "out"), workers=1, **MINIMAL_SIM)
+    assert run_from_config(cfg) == EXIT_OK
+    try:
+        expected = f"qadmit {metadata.version('qadmit')}"
+    except metadata.PackageNotFoundError:
+        expected = "qadmit 0+unknown"
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["version"] == expected
 
 
 def test_validation_catches_bad_values():
@@ -327,6 +359,20 @@ def test_excursion_geometry_rejected_before_any_file(tmp_path, capsys, kind, arg
     err = json.loads(capsys.readouterr().err.strip())
     assert err["exit"] == EXIT_VALIDATION
     assert message in err["error"]
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("rule", [
+    "constant:inf", "constant:nan", "constant:-inf", "log:nan", "log:inf",
+])
+def test_non_finite_window_rule_rejected_before_any_file(tmp_path, capsys, rule):
+    out = tmp_path / "out"
+    args = ["--p", "0.5", "--lambdas", "0.9", "--window-rule", rule,
+            "--policy", "windowed-drain", "--out", str(out)]
+    assert main(["phase", *args]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit"] == EXIT_VALIDATION
+    assert rule in err["error"]
     assert not (out / "manifest.json").exists()
 
 

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from qadmit.analytic import bd_stationary
 from qadmit.errors import ConfigurationError, OutOfRangeError
-from qadmit.policy import AdmitAllPolicy, ThresholdPolicy, WindowedDrainPolicy
+from qadmit.policy import (
+    AdmitAllPolicy,
+    ThresholdPolicy,
+    WindowedDrainPolicy,
+    _window_end_indices,
+    _window_lows,
+)
 from qadmit.sim import (
     SimMetrics,
     flow_identity_residual,
@@ -437,6 +443,61 @@ def test_windowed_drain_kernel_hand_streams(p, q0, pairs, expected):
     s = hand_stream(pairs, pairs[-1][0] + 1.0, params)
     hs = _assert_drain_matches_generic(s, params, q0, s.horizon)
     assert hs.decisions.tolist() == expected
+
+
+# -- the window lows behind the windowed-drain kernel ---------------------------
+
+# window spans (later events in a full window) on each side of every level
+# boundary of the sparse table: 2**j - 1, 2**j and 2**j + 1 for j = 0..6,
+# with span 0 (W = 0) among them, and one window that covers the whole stream
+LEVEL_SPANS = sorted({2**j + d for j in range(7) for d in (-1, 0, 1)}) + [10**6]
+
+
+def _window_lows_oracle(prefix, ends):
+    return [min(0, int(prefix[i + 2 : e + 2].min()) - int(prefix[i + 1])) if e > i else 0
+            for i, e in enumerate(ends.tolist())]
+
+
+def _evenly_spaced(n, dt, seed, horizon_pad=0.0):
+    """n events dt apart, so a window of span * dt holds exactly span later events."""
+    times = dt * np.arange(1, n + 1)
+    marks = np.random.default_rng(seed).choice([1, -1], size=n)
+    return EventStream(times, marks, float(times[-1]) + horizon_pad)
+
+
+@pytest.mark.parametrize("span", LEVEL_SPANS)
+@pytest.mark.parametrize("dt", [1.0, 0.25])
+def test_window_lows_match_brute_force(span, dt):
+    s = _evenly_spaced(300, dt, seed=span)
+    n = s.marks.size
+    for n_sim in (n, n // 2):  # windows of the first half reach past its end
+        ends = _window_end_indices(s.times, span * dt, n_sim)
+        full = min(n_sim, max(n - span, 0))  # windows that end inside the stream
+        assert (ends[:full] == np.arange(full) + span).all()
+        if span >= n:
+            assert (ends == n - 1).all()
+        lows = _window_lows(s.prefix, ends)
+        assert all(type(v) is int for v in lows)
+        assert lows == _window_lows_oracle(s.prefix, ends)
+        if span == 0:
+            assert lows == [0] * n_sim
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    span=st.sampled_from(LEVEL_SPANS),
+    n=st.integers(1, 200),
+    dt=st.sampled_from([1.0, 0.25, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+    q0=st.integers(0, 6),
+    p=st.sampled_from([0.2, 0.5]),
+    t_end_frac=st.sampled_from([0.3, 1.0]),
+)
+def test_windowed_drain_kernel_matches_generic_at_level_spans(span, n, dt, seed, q0, p,
+                                                              t_end_frac):
+    s = _evenly_spaced(n, dt, seed, horizon_pad=span * dt)
+    params = ModelParams(0.9, p, span * dt)
+    _assert_drain_matches_generic(s, params, q0, t_end_frac * float(s.times[-1]))
 
 
 # -- the one-buffer data path ---------------------------------------------------
