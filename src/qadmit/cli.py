@@ -503,8 +503,7 @@ def _run_diagnostic(cfg: RunConfig, out_dir: Path) -> None:
     payload = dataclasses.asdict(report) | {
         "lambda": cfg.lambdas[0], "p": cfg.p, "window": config.params.window,
     }
-    for key in ("per_sample", "warmup_shift_ok", "p_e2_doubled"):
-        del payload[key]
+    del payload["per_sample"]
     _write_json(out_dir / "diagnostic.json", payload)
     if cfg.per_sample_csv:
         _write_csv(out_dir / "diagnostic_samples.csv", PER_SAMPLE_COLUMNS, report.per_sample)

@@ -11,17 +11,17 @@ A base sample path divides time at markers U1 = W, U2 = W + B, U3 = 2W + B
   via the first-passage time z of the post-U3 walk.
 
 e1, e3, e4, e5 depend only on the input stream; e2 (a small queue at the
-relabeled origin) additionally needs a policy and is produced by the
-warm-started diagnostic.  The events sit on disjoint stretches of a
+relabeled origin) additionally needs a policy and is recorded per sample
+by the warm-started diagnostic.  The events sit on disjoint stretches of a
 memoryless stream, so they are mutually independent; the estimators here
 make that checkable along with the probability claims that drive the
 lower-bound argument.
 
-One function, ``_evaluate_path``, computes the events of a path from its
-epochs and mark prefix sums; ``evaluate_events``, ``envelope_slack_required``
-and ``first_passage`` are its wrappers for an EventStream.  The estimators
-draw one ``generate_stream`` per sample from ``replication_seed(seed, i)``
-and score it with that evaluator.
+One function, ``evaluate_events``, scores a stream: the four indicators,
+the envelope slack (the smallest zeta for which e1 holds) and the stopping
+time.  One generator, ``_sampled_events``, draws one ``generate_stream``
+per sample from ``replication_seed(seed, i)`` and scores it; every
+estimator reads its samples from there.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .analytic import bd_stationary
 from .errors import ConfigurationError, EstimationError
+from .policy import ThresholdPolicy, make_policy
 from .sim import last_low_time, run_simulation, window_diversions
 from .stream import EventStream, ModelParams, count_events, generate_stream, replication_seed
 
@@ -55,6 +57,8 @@ class ExcursionConfig:
     q_ref: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.k, self.phi, self.zeta, self.q_ref))):
+            raise ConfigurationError("k, phi, zeta and q_ref must be finite")
         if self.k <= 0 or self.phi <= 0 or self.zeta <= 0 or self.q_ref < 0:
             raise ConfigurationError("k, phi, zeta must be > 0 and q_ref >= 0")
         if self.params.window <= 0:
@@ -99,14 +103,19 @@ class ExcursionConfig:
 
 @dataclass
 class EventIndicators:
-    """Realized excursion events on one stream (e2 needs a queue sample)."""
+    """Realized excursion events on one stream.
+
+    ``slack`` is the smallest zeta for which e1 holds, so e1 is
+    ``slack <= zeta``; ``z_value`` is the first-passage time, None when the
+    post-U3 walk never undershoots the barrier.
+    """
 
     e1: bool
     e3: bool
     e4: bool
     e5: bool
     z_value: float | None
-    e2: bool | None = None
+    slack: float
 
 
 def wilson_halfwidth(successes: int, n: int, z: float = 1.0) -> float:
@@ -118,18 +127,24 @@ def wilson_halfwidth(successes: int, n: int, z: float = 1.0) -> float:
     return z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n)) / denom
 
 
-def _evaluate_path(times: np.ndarray, prefix: np.ndarray, config: ExcursionConfig,
-                   origin: float = 0.0) -> tuple[float, bool, bool, float | None]:
-    """Envelope slack, e3, e4 and first-passage time of one path.
+def evaluate_events(
+    stream: EventStream, config: ExcursionConfig, origin: float = 0.0
+) -> EventIndicators:
+    """Evaluate e1, e3, e4, e5, the envelope slack and the stopping time on one stream.
 
-    The one implementation of the events: the public functions below and
-    the estimators call it.  ``times`` are the path's epochs and
-    ``prefix[n]`` the sum of its first n marks, as in an EventStream.  The walk is piecewise constant while the
+    ``origin`` relabels the time axis so a warm-started path can be scored
+    as if stationary at time zero.  The stream must extend at least to
+    origin + U3 + phi * W.  The walk is piecewise constant while the
     envelope is affine, so checking each event's pre- and post-jump value
-    plus the segment end at B is exhaustive; e1 holds exactly when the
-    returned slack is <= zeta.  ``z`` is None when the post-U3 walk never
-    undershoots the barrier.
+    plus the segment end at B is exhaustive.
     """
+    if stream.horizon < origin + config.horizon_needed:
+        raise ConfigurationError(
+            f"stream horizon {stream.horizon} shorter than required "
+            f"{origin + config.horizon_needed}"
+        )
+    count_events(stream, origin)  # OutOfRangeError for a negative origin
+    times, prefix = stream.times, stream.prefix
     u1, u2, u3 = config.markers
     t1, t3 = origin + u1, origin + u3
     n0, n1, n2, n3 = times.searchsorted((origin, t1, origin + u2, t3), side="right")
@@ -146,45 +161,27 @@ def _evaluate_path(times: np.ndarray, prefix: np.ndarray, config: ExcursionConfi
     w2 = 2.0 * config.params.window
     hits = prefix[n3 + 1 :] - prefix[n3] < -config.barrier
     z = float(times[n3 + hits.argmax()] - t3) if hits.any() else None
-    return slack, bool(prefix[n1] - prefix[n0] <= w2), bool(prefix[n3] - prefix[n2] <= w2), z
+    return EventIndicators(e1=slack <= config.zeta, e3=bool(prefix[n1] - prefix[n0] <= w2),
+                           e4=bool(prefix[n3] - prefix[n2] <= w2),
+                           e5=z is not None and z <= config.deadline, z_value=z, slack=slack)
 
 
-def envelope_slack_required(stream: EventStream, config: ExcursionConfig, origin: float = 0.0) -> float:
-    """Smallest zeta that makes the drift-envelope event true on this path.
+def _sampled_events(config: ExcursionConfig, n_samples: int, seed: int, first: int = 0):
+    """Score one fresh stream per sample i in [first, first + n_samples).
 
-    e1 holds exactly when this value is <= zeta, which gives pathwise
-    monotonicity of e1 in zeta for free.
+    The estimators' one draw loop.  ``generate_stream``, ``replication_seed``
+    and ``evaluate_events`` are looked up as module globals once per sample,
+    so a wrapper installed on this module sees every draw.
     """
-    u1, u2, _ = config.markers
-    for t in (origin + u1, origin + u2):
-        count_events(stream, t)  # OutOfRangeError outside [0, horizon]
-    return _evaluate_path(stream.times, stream.prefix, config, origin)[0]
+    horizon = config.horizon_needed
+    for i in range(first, first + n_samples):
+        yield evaluate_events(
+            generate_stream(config.params, horizon, replication_seed(seed, i)), config)
 
 
-def first_passage(stream: EventStream, config: ExcursionConfig, origin: float = 0.0) -> float | None:
-    """First time z with walk(U3, U3+z) < -barrier, or None if never hit."""
-    count_events(stream, origin + config.markers[2])  # OutOfRangeError outside [0, horizon]
-    return _evaluate_path(stream.times, stream.prefix, config, origin)[3]
-
-
-def evaluate_events(
-    stream: EventStream, config: ExcursionConfig, origin: float = 0.0
-) -> EventIndicators:
-    """Evaluate e1, e3, e4, e5 (and the stopping time) on one stream.
-
-    ``origin`` relabels the time axis so a warm-started path can be scored
-    as if stationary at time zero.  The stream must extend at least to
-    origin + U3 + phi * W.
-    """
-    if stream.horizon < origin + config.horizon_needed:
-        raise ConfigurationError(
-            f"stream horizon {stream.horizon} shorter than required "
-            f"{origin + config.horizon_needed}"
-        )
-    count_events(stream, origin)  # OutOfRangeError for a negative origin
-    slack, e3, e4, z = _evaluate_path(stream.times, stream.prefix, config, origin)
-    return EventIndicators(e1=slack <= config.zeta, e3=e3, e4=e4,
-                           e5=z is not None and z <= config.deadline, z_value=z)
+def _check_samples(n_samples: int, least: int = 1) -> None:
+    if n_samples < least:
+        raise ConfigurationError(f"need n_samples >= {least}, got {n_samples}")
 
 
 @dataclass(frozen=True)
@@ -244,14 +241,10 @@ def estimate_event_probs(
     Returns the report plus the raw (n_samples, 4) boolean indicator matrix
     so callers can reuse the same draws (e.g. for independence checks).
     """
-    if n_samples < MIN_EVENT_SAMPLES:
-        raise ConfigurationError(f"need n_samples >= {MIN_EVENT_SAMPLES}, got {n_samples}")
-    horizon = config.horizon_needed
+    _check_samples(n_samples, MIN_EVENT_SAMPLES)
     rows = np.empty((n_samples, 4), dtype=bool)
     z_hits = []
-    for i in range(n_samples):
-        st = generate_stream(config.params, horizon, replication_seed(seed, i))
-        ev = evaluate_events(st, config)
+    for i, ev in enumerate(_sampled_events(config, n_samples, seed)):
         rows[i] = (ev.e1, ev.e3, ev.e4, ev.e5)
         if ev.z_value is not None:
             z_hits.append(ev.z_value)
@@ -280,14 +273,14 @@ def e1_zeta_sweep(
     exactly monotone in zeta by construction (common random numbers).
     Returns (zeta, estimate, wilson se) triples sorted by zeta.
     """
+    _check_samples(n_samples)
     zetas = sorted(float(z) for z in zetas)
-    if zetas[0] <= config.epsilon:
+    if not zetas:
+        raise ConfigurationError("the sweep needs at least one zeta")
+    if not all(z > config.epsilon for z in zetas):  # a NaN zeta fails here too
         raise ConfigurationError("every zeta in the sweep must exceed epsilon")
-    horizon = config.horizon_needed
-    required = np.empty(n_samples)
-    for i in range(n_samples):
-        st = generate_stream(config.params, horizon, replication_seed(seed, i))
-        required[i] = _evaluate_path(st.times, st.prefix, config)[0]
+    required = np.fromiter((ev.slack for ev in _sampled_events(config, n_samples, seed)),
+                           float, n_samples)
     out = []
     for z in zetas:
         hits = int((required <= z).sum())
@@ -315,22 +308,13 @@ def e5_rate_fit(
     of ``windows``.  Windows with zero hits are dropped (and reported); at
     least three usable points are required for the fit.
     """
+    _check_samples(n_samples)
     windows = sorted(float(w) for w in windows)
     points: list[tuple[float, float, int]] = []
     dropped: list[float] = []
     for j, w in enumerate(windows):
-        params = ModelParams(
-            arrival_rate=config.params.arrival_rate,
-            divert_budget=config.params.divert_budget,
-            window=w,
-        )
-        cfg = replace(config, params=params)
-        hits = 0
-        horizon = cfg.horizon_needed
-        for i in range(n_samples):
-            st = generate_stream(params, horizon, replication_seed(seed, (j + 1) * n_samples + i))
-            z = _evaluate_path(st.times, st.prefix, cfg)[3]
-            hits += z is not None and z <= cfg.deadline
+        cfg = replace(config, params=replace(config.params, window=w))
+        hits = sum(ev.e5 for ev in _sampled_events(cfg, n_samples, seed, (j + 1) * n_samples))
         if hits == 0:
             dropped.append(w)
         else:
@@ -398,8 +382,6 @@ class DiagnosticReport:
     wasted: MeanCI
     low_at_origin: MeanCI
     per_sample: list[dict]
-    warmup_shift_ok: bool | None = None
-    p_e2_doubled: EventEstimate | None = None
 
 
 DEFAULT_WARMUP_EVENTS = 100_000
@@ -419,16 +401,11 @@ def reference_queue(params: ModelParams, policy_spec: str, seed: int = 0,
     the substitution (measured mean for the unknown optimal mean) should
     stay visible.
     """
-    from .analytic import bd_stationary
-    from .policy import min_feasible_threshold, parse_policy_spec
-
-    kind, x = parse_policy_spec(policy_spec)
-    if kind == "threshold":
-        if x is None:
-            x = min_feasible_threshold(params)
-        return bd_stationary(params, x).mean_queue, "bd-oracle"
+    policy = make_policy(policy_spec, params)
+    if isinstance(policy, ThresholdPolicy):
+        return bd_stationary(params, policy.x).mean_queue, "bd-oracle"
     st = generate_stream(params, pilot_horizon + params.window, replication_seed(seed, 0))
-    _, _, m = run_simulation(st, policy_spec, t_end=pilot_horizon, burn_in=0.2)
+    _, _, m = run_simulation(st, policy, t_end=pilot_horizon, burn_in=0.2)
     return m.mean_queue_event, "pilot-run"
 
 
@@ -439,7 +416,6 @@ def diversion_idling_diagnostic(
     seed: int,
     warmup_time: float | None = None,
     q_ref_source: str = "caller",
-    check_warmup_sensitivity: bool = False,
 ) -> DiagnosticReport:
     """Warm up a policy, relabel the origin, and probe the base-path logic.
 
@@ -456,7 +432,7 @@ def diversion_idling_diagnostic(
     e1_hits = sum(r["e1"] for r in rows)
     e2_hits = sum(r["e2"] for r in rows)
     cond = [r for r in rows if r["e1"] and r["e2"]]
-    report = DiagnosticReport(
+    return DiagnosticReport(
         policy=policy_spec,
         q_ref=config.q_ref,
         q_ref_source=q_ref_source,
@@ -472,34 +448,22 @@ def diversion_idling_diagnostic(
         low_at_origin=_mean_ci([r["L0"] for r in cond]),
         per_sample=rows,
     )
-    if check_warmup_sensitivity:
-        rows2 = _diagnostic_rows(config, policy_spec, n_samples, seed + 1, 2.0 * warmup_time)
-        est2 = EventEstimate.from_hits("e2", sum(r["e2"] for r in rows2), n_samples)
-        report.p_e2_doubled = est2
-        ci = max(report.p_e2.se, est2.se)
-        report.warmup_shift_ok = abs(est2.mean - report.p_e2.mean) < max(ci, 1.0 / n_samples)
-    return report
 
 
-def _diagnostic_rows(
-    config: ExcursionConfig,
-    policy_spec: str,
-    n_samples: int,
-    seed: int,
-    warmup_time: float,
-) -> list[dict]:
+def _diagnostic_rows(config: ExcursionConfig, policy_spec: str, n_samples: int, seed: int,
+                     warmup_time: float) -> list[dict]:
     params = config.params
-    u1, u2, u3 = config.markers
+    u1, u2, _ = config.markers
     b = config.buffer_len
-    t_end = warmup_time + config.horizon_needed
+    origin = warmup_time
+    t_end = origin + config.horizon_needed
+    policy = make_policy(policy_spec, params)  # run_simulation resets it per sample
     rows = []
     for i in range(n_samples):
         st = generate_stream(params, t_end + params.window, replication_seed(seed, i))
-        traj, trace, _ = run_simulation(st, policy_spec, q0=0, t_end=t_end)
-        origin = warmup_time
+        traj, trace, _ = run_simulation(st, policy, q0=0, t_end=t_end)
         q0 = traj.queue_at(st, origin)
         ev = evaluate_events(st, config, origin=origin)
-        ev.e2 = q0 <= 6.0 * config.q_ref
         y = window_diversions(trace, st, origin + u1, origin + u2)
         v = last_low_time(traj, st, 2.0 * config.q_ref, origin + u1, b)
         n_lo = count_events(st, origin)
@@ -510,7 +474,7 @@ def _diagnostic_rows(
             {
                 "sample": i,
                 "e1": ev.e1,
-                "e2": ev.e2,
+                "e2": q0 <= 6.0 * config.q_ref,
                 "e3": ev.e3,
                 "e4": ev.e4,
                 "e5": ev.e5,

@@ -161,7 +161,6 @@ def _window_lows(prefix: np.ndarray, ends: np.ndarray) -> list:
 class AdmitAllPolicy:
     """Never divert: the no-diversion baseline."""
 
-    kind = "admit-all"
     lookahead = 0.0
 
     def reset(self) -> None:
@@ -184,7 +183,6 @@ class AdmitAllPolicy:
 class ThresholdPolicy:
     """Divert exactly when the pre-arrival queue equals the threshold x."""
 
-    kind = "threshold"
     lookahead = 0.0
 
     def __init__(self, x: int):
@@ -226,8 +224,6 @@ class WindowedDrainPolicy:
     ``credit`` and ``last_time`` (the epoch it was last accrued to) carry
     the budget from one decision to the next; ``reset()`` restores them.
     """
-
-    kind = "windowed-drain"
 
     def __init__(self, params: ModelParams):
         self.params = params

@@ -215,12 +215,7 @@ def flow_identity_residual(
     if t > trajectory.t_end:
         raise OutOfRangeError(f"t={t} beyond simulated range {trajectory.t_end}")
     n = count_events(stream, t)
-    q_t = int(trajectory.post_event_queue[n - 1]) if n >= 1 else trajectory.initial
-    s = int(stream.prefix[n])
-    pre = trajectory.pre_event_queue[:n]
-    j = int(((stream.marks[:n] == -1) & (pre == 0)).sum())
-    h = int(trace.decisions[:n].sum())
-    return q_t - (trajectory.initial + s + j - h)
+    return int(flow_identity_residuals(trajectory, trace, stream)[n - 1]) if n else 0
 
 
 def flow_identity_residuals(trajectory: QueueTrajectory, trace, stream: EventStream) -> np.ndarray:

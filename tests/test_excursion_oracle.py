@@ -21,10 +21,8 @@ from qadmit.excursion import (
     ExcursionConfig,
     e1_zeta_sweep,
     e5_rate_fit,
-    envelope_slack_required,
     estimate_event_probs,
     evaluate_events,
-    first_passage,
 )
 from qadmit.stream import EventStream, ModelParams, count_events, generate_stream, replication_seed
 
@@ -179,8 +177,8 @@ def test_scalar_wrappers_match_oracle(config, seed, origin, on_markers):
         s = EventStream(times, marks, s.horizon)
     ev = evaluate_events(s, config, origin)
     assert (ev.e1, ev.e3, ev.e4, ev.e5, ev.z_value) == oracle_events(s, config, origin)
-    assert envelope_slack_required(s, config, origin) == oracle_slack(s, config, origin)
-    assert first_passage(s, config, origin) == oracle_first_passage(s, config, origin)
+    assert ev.slack == oracle_slack(s, config, origin)
+    assert ev.z_value == oracle_first_passage(s, config, origin)
 
 
 # -- bounded memory ------------------------------------------------------------

@@ -105,6 +105,25 @@ def test_flow_identity_empty_stream():
     assert m.n_events == 0
 
 
+def test_flow_identity_scalar_equals_vector_on_corrupted_path():
+    # a queue jump no event explains and a flipped decision: the scalar
+    # residual at every epoch is the vector's entry, nonzero ones included
+    s = generate_stream(PARAMS, 80.0 + PARAMS.window, replication_seed(61, 0))
+    traj, trace, _ = run_simulation(s, "windowed-drain", q0=2, t_end=80.0)
+    path = np.concatenate(([traj.initial], traj.post_event_queue))
+    path[path.size // 3 :] += 3
+    decisions = trace.decisions.copy()
+    decisions[2 * decisions.size // 3] ^= 1
+    bad = dataclasses.replace(traj, pre_event_queue=path[:-1], post_event_queue=path[1:])
+    bad_trace = dataclasses.replace(trace, decisions=decisions)
+    want = flow_identity_residuals(bad, bad_trace, s)
+    assert len(set(want.tolist())) >= 3  # zero, the jump, the jump plus the flip
+    got = [flow_identity_residual(bad, bad_trace, s, t) for t in s.times[: want.size]]
+    assert got == want.tolist()
+    assert flow_identity_residual(bad, bad_trace, s, 0.0) == 0  # before the first event
+    assert flow_identity_residual(bad, bad_trace, s, 80.0) == want[-1]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     marks=st.lists(st.sampled_from([1, -1]), min_size=1, max_size=60),
