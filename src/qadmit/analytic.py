@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EstimationError
+from .errors import EstimationError
 from .stream import ModelParams
 
 
@@ -90,10 +90,6 @@ def online_scaling_table(p: float, lambdas) -> list[ScalingRow]:
 
     rows = []
     for lam in sorted(lambdas):
-        if not (1.0 - p < lam < 1.0):
-            raise ConfigurationError(
-                f"arrival rate {lam} outside the overload range ({1.0 - p}, 1)"
-            )
         params = ModelParams(arrival_rate=lam, divert_budget=p)
         x_star = min_feasible_threshold(params)
         sol = bd_stationary(params, x_star)

@@ -42,7 +42,7 @@ from .excursion import (
     reference_queue,
 )
 from .policy import parse_policy_spec
-from .sim import run_simulation
+from .sim import DEFAULT_BURN_IN, run_simulation
 from .stream import ModelParams, generate_stream, replication_seed
 
 logger = logging.getLogger("qadmit")
@@ -67,7 +67,7 @@ class RunConfig:
     master_seed: int = 0
     out_dir: str = "qadmit-out"
     q0: int = 0
-    burn_in: float = 0.1
+    burn_in: float = DEFAULT_BURN_IN
     workers: int | None = None
     n_samples: int = 1000
     k: float = 1.0
@@ -188,6 +188,8 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigurationError(
                 f"field `n_samples` must be >= {least} for kind `{cfg.kind}`, got {cfg.n_samples}"
             )
+        if cfg.q_ref is None and cfg.policy == "admit-all":
+            raise ConfigurationError("policy `admit-all` has no stationary queue; set `q_ref`")
         _excursion_config(cfg, resolve_q_ref=False)
 
 
@@ -497,11 +499,10 @@ def _run_excursion(cfg: RunConfig, out_dir: Path) -> None:
 
 def _run_diagnostic(cfg: RunConfig, out_dir: Path) -> None:
     config, source = _excursion_config(cfg)
-    report = diversion_idling_diagnostic(
-        config, cfg.policy, cfg.n_samples, cfg.master_seed, q_ref_source=source
-    )
+    report = diversion_idling_diagnostic(config, cfg.policy, cfg.n_samples, cfg.master_seed)
     payload = dataclasses.asdict(report) | {
         "lambda": cfg.lambdas[0], "p": cfg.p, "window": config.params.window,
+        "q_ref_source": source,
     }
     del payload["per_sample"]
     _write_json(out_dir / "diagnostic.json", payload)

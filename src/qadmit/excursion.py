@@ -21,7 +21,8 @@ One function, ``evaluate_events``, scores a stream: the four indicators,
 the envelope slack (the smallest zeta for which e1 holds) and the stopping
 time.  One generator, ``_sampled_events``, draws one ``generate_stream``
 per sample from ``replication_seed(seed, i)`` and scores it; every
-estimator reads its samples from there.
+estimator reads its samples from there.  The diagnostic takes its wasted
+tokens from the engine's rule, ``sim.wasted_tokens``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 
 from .analytic import bd_stationary
 from .errors import ConfigurationError, EstimationError
-from .policy import ThresholdPolicy, make_policy
-from .sim import last_low_time, run_simulation, window_diversions
+from .policy import AdmitAllPolicy, ThresholdPolicy, make_policy
+from .sim import last_low_time, run_simulation, wasted_tokens, window_diversions
 from .stream import EventStream, ModelParams, count_events, generate_stream, replication_seed
 
 
@@ -118,13 +119,13 @@ class EventIndicators:
     slack: float
 
 
-def wilson_halfwidth(successes: int, n: int, z: float = 1.0) -> float:
-    """Half-width of the Wilson score interval; z=1 gives a 1-sigma scale."""
+def wilson_halfwidth(successes: int, n: int) -> float:
+    """Half-width of the Wilson score interval at z = 1, a 1-sigma scale."""
     if n == 0:
         return float("nan")
     phat = successes / n
-    denom = 1.0 + z * z / n
-    return z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n)) / denom
+    denom = 1.0 + 1.0 / n
+    return math.sqrt(phat * (1.0 - phat) / n + 1.0 / (4.0 * n * n)) / denom
 
 
 def evaluate_events(
@@ -370,7 +371,6 @@ class DiagnosticReport:
 
     policy: str
     q_ref: float
-    q_ref_source: str
     n_samples: int
     warmup_time: float
     p_e1: EventEstimate
@@ -397,13 +397,16 @@ def reference_queue(params: ModelParams, policy_spec: str, seed: int = 0,
     """Stationary mean-queue stand-in for the barrier's reference scale.
 
     Threshold policies use the exact birth-death oracle; anything else gets
-    a measured pilot run.  The source tag is carried into reports because
-    the substitution (measured mean for the unknown optimal mean) should
-    stay visible.
+    a measured pilot run, except admit-all, whose queue has no stationary
+    law in overload and is rejected.  The source tag is carried into
+    reports because the substitution (measured mean for the unknown
+    optimal mean) should stay visible.
     """
     policy = make_policy(policy_spec, params)
     if isinstance(policy, ThresholdPolicy):
         return bd_stationary(params, policy.x).mean_queue, "bd-oracle"
+    if isinstance(policy, AdmitAllPolicy):
+        raise ConfigurationError("admit-all has no stationary mean queue; give q_ref explicitly")
     st = generate_stream(params, pilot_horizon + params.window, replication_seed(seed, 0))
     _, _, m = run_simulation(st, policy, t_end=pilot_horizon, burn_in=0.2)
     return m.mean_queue_event, "pilot-run"
@@ -415,7 +418,6 @@ def diversion_idling_diagnostic(
     n_samples: int,
     seed: int,
     warmup_time: float | None = None,
-    q_ref_source: str = "caller",
 ) -> DiagnosticReport:
     """Warm up a policy, relabel the origin, and probe the base-path logic.
 
@@ -425,33 +427,9 @@ def diversion_idling_diagnostic(
     count over the drift stretch, the last-low time, the wasted tokens, and
     the low-at-origin indicator.
     """
+    _check_samples(n_samples)
     if warmup_time is None:
         warmup_time = default_warmup_time(config)
-    rows = _diagnostic_rows(config, policy_spec, n_samples, seed, warmup_time)
-
-    e1_hits = sum(r["e1"] for r in rows)
-    e2_hits = sum(r["e2"] for r in rows)
-    cond = [r for r in rows if r["e1"] and r["e2"]]
-    return DiagnosticReport(
-        policy=policy_spec,
-        q_ref=config.q_ref,
-        q_ref_source=q_ref_source,
-        n_samples=n_samples,
-        warmup_time=warmup_time,
-        p_e1=EventEstimate.from_hits("e1", e1_hits, n_samples),
-        p_e2=EventEstimate.from_hits("e2", e2_hits, n_samples),
-        n_conditional=len(cond),
-        low_conditional=len(cond) < 50,
-        y_over_b=_mean_ci([r["Y"] / config.buffer_len for r in cond]),
-        v_last_low=_mean_ci([r["V"] for r in cond]),
-        wasted=_mean_ci([r["J"] for r in cond]),
-        low_at_origin=_mean_ci([r["L0"] for r in cond]),
-        per_sample=rows,
-    )
-
-
-def _diagnostic_rows(config: ExcursionConfig, policy_spec: str, n_samples: int, seed: int,
-                     warmup_time: float) -> list[dict]:
     params = config.params
     u1, u2, _ = config.markers
     b = config.buffer_len
@@ -466,10 +444,7 @@ def _diagnostic_rows(config: ExcursionConfig, policy_spec: str, n_samples: int, 
         ev = evaluate_events(st, config, origin=origin)
         y = window_diversions(trace, st, origin + u1, origin + u2)
         v = last_low_time(traj, st, 2.0 * config.q_ref, origin + u1, b)
-        n_lo = count_events(st, origin)
-        n_hi = count_events(st, origin + config.horizon_needed)
-        pre = traj.pre_event_queue[n_lo:n_hi]
-        wasted = int(((st.marks[n_lo:n_hi] == -1) & (pre == 0)).sum())
+        wasted = int(wasted_tokens(traj, st)[count_events(st, origin):].sum())
         rows.append(
             {
                 "sample": i,
@@ -486,4 +461,22 @@ def _diagnostic_rows(config: ExcursionConfig, policy_spec: str, n_samples: int, 
                 "Q0": q0,
             }
         )
-    return rows
+
+    e1_hits = sum(r["e1"] for r in rows)
+    e2_hits = sum(r["e2"] for r in rows)
+    cond = [r for r in rows if r["e1"] and r["e2"]]
+    return DiagnosticReport(
+        policy=policy_spec,
+        q_ref=config.q_ref,
+        n_samples=n_samples,
+        warmup_time=warmup_time,
+        p_e1=EventEstimate.from_hits("e1", e1_hits, n_samples),
+        p_e2=EventEstimate.from_hits("e2", e2_hits, n_samples),
+        n_conditional=len(cond),
+        low_conditional=len(cond) < 50,
+        y_over_b=_mean_ci([r["Y"] / b for r in cond]),
+        v_last_low=_mean_ci([r["V"] for r in cond]),
+        wasted=_mean_ci([r["J"] for r in cond]),
+        low_at_origin=_mean_ci([r["L0"] for r in cond]),
+        per_sample=rows,
+    )

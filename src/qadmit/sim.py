@@ -159,8 +159,7 @@ def _compute_metrics(
     hs = trace.decisions
     n = pre.size
     t_end = trajectory.t_end
-    wasted_mask = (stream.marks[:n] == -1) & (pre == 0)
-    wasted_count = int(wasted_mask.sum())
+    wasted_count = int(wasted_tokens(trajectory, stream).sum())
 
     if n == 0:
         return SimMetrics(
@@ -208,6 +207,12 @@ def _compute_metrics(
     )
 
 
+def wasted_tokens(trajectory: QueueTrajectory, stream: EventStream) -> np.ndarray:
+    """Per simulated event: a token that found the queue empty, i.e. a unit step of J."""
+    n = trajectory.pre_event_queue.size
+    return (stream.marks[:n] == -1) & (trajectory.pre_event_queue == 0)
+
+
 def flow_identity_residual(
     trajectory: QueueTrajectory, trace, stream: EventStream, t: float
 ) -> int:
@@ -222,7 +227,7 @@ def flow_identity_residuals(trajectory: QueueTrajectory, trace, stream: EventStr
     """Residuals at every simulated event epoch at once."""
     n = trajectory.pre_event_queue.size
     s = stream.prefix[1 : n + 1]
-    j = np.cumsum((stream.marks[:n] == -1) & (trajectory.pre_event_queue == 0))
+    j = np.cumsum(wasted_tokens(trajectory, stream))
     h = np.cumsum(trace.decisions[:n], dtype=np.int64)
     return trajectory.post_event_queue - (trajectory.initial + s + j - h)
 

@@ -22,9 +22,6 @@ import numpy as np
 
 from .errors import ConfigurationError, OutOfRangeError
 
-ARRIVAL = 1
-TOKEN = -1
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -179,7 +176,7 @@ def generate_stream(
     times = times[: times.searchsorted(horizon, side="right")]
     times = _nudge_ties(times, horizon)
 
-    # arrival indicator 0/1 as int8, mapped in place to ARRIVAL/TOKEN = +1/-1
+    # arrival indicator 0/1 as int8, mapped in place to the marks +1/-1
     marks = (rng.random(times.size) < params.arrival_fraction).view(np.int8)
     marks += marks
     marks -= 1

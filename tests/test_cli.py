@@ -384,6 +384,9 @@ def test_non_finite_window_rule_rejected_before_any_file(tmp_path, capsys, rule)
     ("conserve", ["--policy", "threshold:auto:x"], "unknown policy"),
     ("excursion", ["--policy", "bogus", "--window-rule", "constant:2"], "unknown policy"),
     ("diagnostic", ["--policy", "windowed", "--window-rule", "constant:2"], "unknown policy"),
+    # admit-all has no stationary mean queue to resolve an unset q_ref from
+    ("excursion", ["--policy", "admit-all", "--window-rule", "constant:2"], "set `q_ref`"),
+    ("diagnostic", ["--policy", "admit-all", "--window-rule", "constant:2"], "set `q_ref`"),
 ])
 def test_policy_spec_rejected_before_any_file(tmp_path, capsys, kind, args, message):
     # the excursion case leaves q_ref unset, so the policy would pick it at run time
@@ -393,6 +396,13 @@ def test_policy_spec_rejected_before_any_file(tmp_path, capsys, kind, args, mess
     assert err["exit"] == EXIT_VALIDATION
     assert message in err["error"]
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["excursion", "diagnostic"])
+def test_admit_all_takes_an_explicit_q_ref(kind):
+    cfg = config_from_mapping(dict(kind=kind, p=0.5, lambdas=[0.9], window_rule="constant:2",
+                                   policy="admit-all", q_ref=2.0))
+    assert (cfg.policy, cfg.q_ref) == ("admit-all", 2.0)
 
 
 def test_auto_policy_is_conserve_only():
@@ -428,6 +438,20 @@ def test_diagnostic_json(tmp_path):
     samples = read_rows(tmp_path / "diag" / "diagnostic_samples.csv")
     assert len(samples) == 100
     assert samples[0]["Y"] != ""
+
+
+@pytest.mark.parametrize("args, source", [
+    (["--q-ref", "1.5"], "config"),
+    (["--policy", "windowed-drain"], "pilot-run"),
+])
+def test_diagnostic_json_names_its_q_ref_source(tmp_path, monkeypatch, args, source):
+    from qadmit import excursion
+
+    monkeypatch.setattr(excursion, "DEFAULT_WARMUP_EVENTS", 500)
+    out = tmp_path / "diag"
+    assert main(["diagnostic", "--p", "0.5", "--lambdas", "0.9", "--window-rule", "constant:1",
+                 "--n-samples", "3", "--out", str(out), *args]) == EXIT_OK
+    assert json.loads((out / "diagnostic.json").read_text())["q_ref_source"] == source
 
 
 def test_main_subcommand_with_overrides(tmp_path, capsys):

@@ -238,6 +238,9 @@ def test_reference_queue_sources():
     q_pilot, src2 = reference_queue(params, "windowed-drain", seed=1, pilot_horizon=5000.0)
     assert src2 == "pilot-run"
     assert 0.0 < q_pilot < 50.0
+    # admit-all has no stationary queue in overload, so no pilot run can stand in for one
+    with pytest.raises(ConfigurationError, match="admit-all"):
+        reference_queue(params, "admit-all", seed=1, pilot_horizon=5000.0)
 
 
 def test_diagnostic_admit_all_has_no_diversions():
@@ -251,14 +254,21 @@ def test_diagnostic_admit_all_has_no_diversions():
     assert all(r["Y"] == 0 for r in report.per_sample)
 
 
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_diagnostic_needs_samples(n_samples):
+    with pytest.raises(ConfigurationError):
+        diversion_idling_diagnostic(make_config(), "threshold:auto", n_samples, 5,
+                                    warmup_time=10.0)
+
+
 def test_diagnostic_threshold_e2_markov_bound():
     params = ModelParams(0.9, 0.5, 1.0)
     q_ref, src = reference_queue(params, "threshold:auto")
+    assert src == "bd-oracle"
     cfg = ExcursionConfig(params=params, k=2.0, epsilon=0.3, zeta=2.0, phi=2.0, q_ref=q_ref)
     report = diversion_idling_diagnostic(
-        cfg, "threshold:auto", n_samples=260, seed=14, warmup_time=300.0, q_ref_source=src
+        cfg, "threshold:auto", n_samples=260, seed=14, warmup_time=300.0
     )
-    assert report.q_ref_source == "bd-oracle"
     # the chain's stationary law satisfies P(Q <= 6 E[Q]) >= 5/6 exactly
     assert report.p_e2.mean >= 5.0 / 6.0 - 4.0 * report.p_e2.se
     assert report.n_conditional >= 50

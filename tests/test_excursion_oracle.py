@@ -1,10 +1,11 @@
-"""The one event evaluator and the estimators against a count_events oracle.
+"""The one event evaluator, the estimators and the diagnostic against oracles.
 
 The oracle scores each stream the way the excursion module did before it
 had one evaluator: separate ``count_events`` lookups per marker and
-separate slack, first-passage and indicator functions.  Every comparison
-is exact: indicators, stopping times, sweep triples and e5 points must
-match bit for bit.
+separate slack, first-passage and indicator functions.  The diagnostic's
+rows are recounted event by event from a replayed queue.  Every comparison
+is exact: indicators, stopping times, sweep triples, e5 points and
+diagnostic rows must match bit for bit.
 """
 
 import dataclasses
@@ -19,11 +20,13 @@ from qadmit import excursion
 from qadmit.errors import EstimationError
 from qadmit.excursion import (
     ExcursionConfig,
+    diversion_idling_diagnostic,
     e1_zeta_sweep,
     e5_rate_fit,
     estimate_event_probs,
     evaluate_events,
 )
+from qadmit.sim import run_simulation
 from qadmit.stream import EventStream, ModelParams, count_events, generate_stream, replication_seed
 
 # -- oracle: the per-sample scalar path ----------------------------------------
@@ -179,6 +182,67 @@ def test_scalar_wrappers_match_oracle(config, seed, origin, on_markers):
     assert (ev.e1, ev.e3, ev.e4, ev.e5, ev.z_value) == oracle_events(s, config, origin)
     assert ev.slack == oracle_slack(s, config, origin)
     assert ev.z_value == oracle_first_passage(s, config, origin)
+
+
+# -- the diagnostic's per-sample rows ------------------------------------------
+
+
+def oracle_diagnostic_row(s, decisions, config, origin):
+    """One diagnostic row, event by event, from the marks and decisions alone.
+
+    The queue is replayed from the stream's marks and the run's decisions;
+    each field is then counted over the events of its own interval.
+    """
+    times, marks, hs = s.times.tolist(), s.marks.tolist(), decisions.tolist()
+    path, wasted = [0], 0  # path[n]: Q after the first n events
+    for t, mark, h in zip(times, marks, hs):
+        q = path[-1]
+        if mark == 1:
+            q += 1 - h
+        elif q > 0:
+            q -= 1
+        elif t > origin:
+            wasted += 1
+        path.append(q)
+
+    def queue_at(t):
+        return path[sum(1 for u in times[: len(hs)] if u <= t)]
+
+    u1, u2, _ = config.markers
+    a, stop = origin + u1, origin + u1 + config.buffer_len
+    inside = [i for i in range(len(hs)) if a < times[i] < stop]
+    # segments of the path on [a, stop): start value and end time
+    segments = zip([queue_at(a)] + [path[i + 1] for i in inside],
+                   [times[i] for i in inside] + [stop])
+    low_ends = [end for q, end in segments if q <= 2.0 * config.q_ref]
+    q0 = queue_at(origin)
+    e1, e3, e4, e5, z = oracle_events(s, config, origin)
+    return {"e1": e1, "e2": q0 <= 6.0 * config.q_ref, "e3": e3, "e4": e4, "e5": e5, "z": z,
+            "Y": sum(h for t, h in zip(times, hs) if origin + u1 < t <= origin + u2),
+            "V": low_ends[-1] - a if low_ends else 0.0, "J": wasted,
+            "L0": int(q0 <= 2.0 * config.q_ref), "Q0": q0}
+
+
+DIAGNOSTIC = ExcursionConfig(ModelParams(0.9, 0.5, 1.0), k=3.0, epsilon=0.3, zeta=1.0, phi=3.0,
+                             q_ref=0.5)
+
+
+@pytest.mark.parametrize("policy", ["threshold:auto", "windowed-drain"])
+@pytest.mark.parametrize("seed", [3, 8, 21])
+def test_diagnostic_rows_match_oracle(policy, seed):
+    warmup, n_samples = 40.0, 12
+    report = diversion_idling_diagnostic(DIAGNOSTIC, policy, n_samples, seed, warmup_time=warmup)
+    t_end = warmup + DIAGNOSTIC.horizon_needed
+    want = []
+    for i in range(n_samples):
+        s = generate_stream(DIAGNOSTIC.params, t_end + DIAGNOSTIC.window,
+                            replication_seed(seed, i))
+        _, trace, _ = run_simulation(s, policy, t_end=t_end)
+        want.append({"sample": i} | oracle_diagnostic_row(s, trace.decisions, DIAGNOSTIC, warmup))
+    assert report.per_sample == want
+    # the comparison is not vacuous: the counts vary across the samples
+    assert all(any(row[key] for row in want) for key in ("Y", "V", "J", "Q0"))
+    assert {row["L0"] for row in want} == {0, 1}
 
 
 # -- bounded memory ------------------------------------------------------------
