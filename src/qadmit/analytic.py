@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .stream import ModelParams
+from .stream import ModelParams, log_scale
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def online_scaling_table(p: float, lambdas) -> list[ScalingRow]:
         params = ModelParams(arrival_rate=lam, divert_budget=p)
         x_star = min_feasible_threshold(params)
         sol = bd_stationary(params, x_star)
-        log_term = math.log(1.0 / (1.0 - lam)) / math.log(1.0 / (1.0 - p))
+        log_term = log_scale(lam) / log_scale(p)
         rows.append(
             ScalingRow(
                 arrival_rate=lam,

@@ -43,7 +43,7 @@ from .excursion import (
 )
 from .policy import parse_policy_spec
 from .sim import DEFAULT_BURN_IN, run_simulation
-from .stream import ModelParams, generate_stream, replication_seed
+from .stream import ModelParams, generate_stream, log_scale, overloaded, replication_seed
 
 logger = logging.getLogger("qadmit")
 
@@ -157,7 +157,7 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigurationError(f"field `p` must be in (0,1), got {cfg.p}")
     if not cfg.lambdas:
         raise ConfigurationError("field `lambdas` must be a non-empty list")
-    feasible = [lam for lam in cfg.lambdas if 1.0 - cfg.p < lam < 1.0]
+    feasible = [lam for lam in cfg.lambdas if overloaded(lam, cfg.p)]
     if cfg.kind in ("phase", "conserve"):
         if not feasible:
             raise ConfigurationError("field `lambdas` has no overload-feasible entries")
@@ -208,7 +208,7 @@ def _parse_window_rule(rule: str):
                     f"window rule coefficient must be finite and >= 0: `{rule}`")
             if prefix == "constant:":
                 return lambda lam: c
-            return lambda lam: c * math.log(1.0 / (1.0 - lam))
+            return lambda lam: c * log_scale(lam)
     raise ConfigurationError(f"bad window rule `{rule}` (use zero | constant:c | log:c)")
 
 
@@ -264,14 +264,14 @@ def _simulate_cell(task: tuple) -> dict:
     Returns the seed's summary row.  With a trajectory directory set, the
     run's per-event path is written there as well.
     """
-    cfg, cell_idx, rep_idx, (lam, window, policy), trajectory_dir = task
+    cfg, cell_idx, rep_idx, cell, trajectory_dir = task
     stream = generate_stream(
-        ModelParams(lam, cfg.p, window),
-        cfg.horizon + window,
+        ModelParams(cell["lambda"], cell["p"], cell["window"]),
+        cfg.horizon + cell["window"],
         replication_seed(cfg.master_seed, cell_idx, rep_idx),
     )
     traj, trace, m = run_simulation(
-        stream, policy, q0=cfg.q0, t_end=cfg.horizon, burn_in=cfg.burn_in
+        stream, cell["policy"], q0=cfg.q0, t_end=cfg.horizon, burn_in=cfg.burn_in
     )
     if trajectory_dir is not None:
         n = m.n_events
@@ -283,9 +283,12 @@ def _simulate_cell(task: tuple) -> dict:
     return {"seed": rep_idx} | {key: getattr(m, key) for key in _SUMMARY_MEANS}
 
 
-def _run_grid(cfg: RunConfig, cells: list[tuple[float, float, str]],
+def _run_grid(cfg: RunConfig, cells: list[dict],
               trajectory_dir: Path | None = None) -> list[list[dict]]:
-    """Run `cfg.seeds` replications of each (lambda, window, policy) cell.
+    """Run `cfg.seeds` replications of each cell.
+
+    A cell is the dict of base columns its rows start from: `lambda`, `p`,
+    `window` and `policy`, plus `window_rule` or `c` for the sweep's kind.
 
     Returns the summary rows grouped by cell, in seed order.  Each task is
     seeded by its (cell, seed) index and ``pool.map`` keeps task order, so
@@ -309,7 +312,7 @@ def _feasible_lambdas(cfg: RunConfig) -> list[float]:
     """The overload-feasible lambdas of a sweep; each one skipped is logged."""
     feasible = []
     for lam in cfg.lambdas:
-        if 1.0 - cfg.p < lam < 1.0:
+        if overloaded(lam, cfg.p):
             feasible.append(lam)
         else:
             logger.warning("skipping infeasible cell lambda=%s (needs > %s)", lam, 1.0 - cfg.p)
@@ -341,17 +344,19 @@ PHASE_COLUMNS = [
 ]
 
 
+def _rule_cells(cfg: RunConfig, lambdas) -> list[dict]:
+    """One cell per lambda, its window set by `cfg.window_rule`."""
+    rule = _parse_window_rule(cfg.window_rule)
+    return [{"lambda": lam, "p": cfg.p, "window_rule": cfg.window_rule, "window": rule(lam),
+             "policy": cfg.policy} for lam in lambdas]
+
+
 def phase_sweep(cfg: RunConfig) -> list[dict]:
     """Per-(lambda, seed) simulation rows plus one aggregate row per cell."""
-    rule = _parse_window_rule(cfg.window_rule)
-    cells = [(lam, rule(lam), cfg.policy) for lam in _feasible_lambdas(cfg)]
+    cells = _rule_cells(cfg, _feasible_lambdas(cfg))
     rows: list[dict] = []
-    for (lam, window, policy), results in zip(cells, _run_grid(cfg, cells)):
-        base = {
-            "lambda": lam, "p": cfg.p, "window_rule": cfg.window_rule,
-            "window": window, "policy": policy,
-        }
-        rows += _cell_rows(base, results)
+    for cell, results in zip(cells, _run_grid(cfg, cells)):
+        rows += _cell_rows(cell, results)
     return rows
 
 
@@ -367,34 +372,28 @@ def conservation_sweep(cfg: RunConfig) -> list[dict]:
     With the policy set to ``auto``, zero-window cells run the online
     threshold policy and positive windows run the lookahead heuristic.
     """
-    grid = []
+    cells = []
     for lam in _feasible_lambdas(cfg):
         for c in cfg.c_values:
-            window = c * math.log(1.0 / (1.0 - lam))
-            if cfg.policy == "auto":
+            window = c * log_scale(lam)
+            policy = cfg.policy
+            if policy == "auto":
                 policy = "threshold:auto" if window == 0.0 else "windowed-drain"
-            else:
-                policy = cfg.policy
-            grid.append((c, (lam, window, policy)))
-    cells = [cell for _, cell in grid]
+            cells.append({"lambda": lam, "p": cfg.p, "c": c, "window": window, "policy": policy})
 
     rows: list[dict] = []
-    min_ratio_by_lambda: dict[float, float] = {}
-    for (c, (lam, window, policy)), results in zip(grid, _run_grid(cfg, cells)):
-        log_term = math.log(1.0 / (1.0 - lam))
-        base = {"lambda": lam, "p": cfg.p, "c": c, "window": window, "policy": policy}
-        for row in _cell_rows(base, results):
-            row["q_plus_w"] = row["mean_queue_event"] + window
-            row["ratio"] = row["q_plus_w"] / log_term
+    ratios_by_lambda: dict[float, list[float]] = {}
+    for cell, results in zip(cells, _run_grid(cfg, cells)):
+        for row in _cell_rows(cell, results):
+            row["q_plus_w"] = row["mean_queue_event"] + cell["window"]
+            row["ratio"] = row["q_plus_w"] / log_scale(cell["lambda"])
             rows.append(row)
-        ratio = rows[-1]["ratio"]  # the aggregate row's
-        cur = min_ratio_by_lambda.get(lam)
-        min_ratio_by_lambda[lam] = ratio if cur is None else min(cur, ratio)
-    for lam, ratio in sorted(min_ratio_by_lambda.items()):
+        ratios_by_lambda.setdefault(cell["lambda"], []).append(rows[-1]["ratio"])  # aggregate's
+    for lam, ratios in sorted(ratios_by_lambda.items()):
         rows.append({
             "lambda": lam, "p": cfg.p, "c": "min", "window": None, "policy": cfg.policy,
             "seed": None, "n_events": None, "mean_queue_event": None,
-            "q_plus_w": None, "ratio": ratio, "ci_halfwidth": None, "aggregate_flag": 2,
+            "q_plus_w": None, "ratio": min(ratios), "ci_halfwidth": None, "aggregate_flag": 2,
         })
     return rows
 
@@ -434,14 +433,12 @@ def _write_sweep(out_dir: Path, name: str, columns: list[str], rows: list[dict],
 
 
 def _run_simulate(cfg: RunConfig, out_dir: Path) -> None:
-    rule = _parse_window_rule(cfg.window_rule)
-    cells = [(lam, rule(lam), cfg.policy) for lam in cfg.lambdas]
+    cells = _rule_cells(cfg, cfg.lambdas)
     grouped = _run_grid(cfg, cells, out_dir if cfg.trajectory_csv else None)
-    for li, ((lam, window, _), results) in enumerate(zip(cells, grouped)):
+    for li, (cell, results) in enumerate(zip(cells, grouped)):
+        del cell["window_rule"]  # a run summary echoes its window, not the rule
         for r in results:
-            summary = {"lambda": lam, "p": cfg.p, "window": window, "policy": cfg.policy,
-                       "q0": cfg.q0} | r
-            _write_json(out_dir / f"run_lam{li}_seed{r['seed']}.json", summary)
+            _write_json(out_dir / f"run_lam{li}_seed{r['seed']}.json", cell | {"q0": cfg.q0} | r)
 
 
 def _run_analytic(cfg: RunConfig, out_dir: Path) -> None:

@@ -407,7 +407,9 @@ def reference_queue(params: ModelParams, policy_spec: str, seed: int = 0,
         return bd_stationary(params, policy.x).mean_queue, "bd-oracle"
     if isinstance(policy, AdmitAllPolicy):
         raise ConfigurationError("admit-all has no stationary mean queue; give q_ref explicitly")
-    st = generate_stream(params, pilot_horizon + params.window, replication_seed(seed, 0))
+    # the key (seed, 0, 0, 1) ends in a nonzero word, so SeedSequence's zero
+    # padding makes it equal no sample key (seed, i) and no sweep key
+    st = generate_stream(params, pilot_horizon + params.window, replication_seed(seed, 0, 0, 1))
     _, _, m = run_simulation(st, policy, t_end=pilot_horizon, burn_in=0.2)
     return m.mean_queue_event, "pilot-run"
 

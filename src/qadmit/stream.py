@@ -23,6 +23,16 @@ import numpy as np
 from .errors import ConfigurationError, OutOfRangeError
 
 
+def overloaded(arrival_rate: float, divert_budget: float) -> bool:
+    """Whether ``1 - divert_budget < arrival_rate < 1``, the overload regime."""
+    return 1.0 - divert_budget < arrival_rate < 1.0
+
+
+def log_scale(rate: float) -> float:
+    """ln(1/(1 - rate)): the scale on which the mean queue and the window grow."""
+    return math.log(1.0 / (1.0 - rate))
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Model triple (arrival rate, diversion budget rate, lookahead length).
@@ -40,7 +50,7 @@ class ModelParams:
         lam, p, w = self.arrival_rate, self.divert_budget, self.window
         if not (0.0 < p < 1.0):
             raise ConfigurationError(f"divert_budget must be in (0,1), got {p}")
-        if not (1.0 - p < lam < 1.0):
+        if not overloaded(lam, p):
             raise ConfigurationError(
                 f"overload requires 1-p < arrival_rate < 1; got arrival_rate={lam}, p={p}"
             )
@@ -90,9 +100,7 @@ class EventStream:
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=np.float64)
-        marks = self.marks
-        if not (isinstance(marks, np.ndarray) and marks.dtype == np.int8):
-            marks = np.asarray(marks)
+        marks = np.asarray(self.marks)
         if self.times.shape != marks.shape or self.times.ndim != 1:
             raise ValueError("times and marks must be 1-d arrays of equal length")
         if not (math.isfinite(self.horizon) and self.horizon >= 0.0):

@@ -212,6 +212,28 @@ def test_phase_sweep_worker_count_invariance(tmp_path):
     assert (out1 / "phase.csv").read_bytes() == (out2 / "phase.csv").read_bytes()
 
 
+@pytest.mark.parametrize("base, patterns", [
+    (dict(kind="simulate", lambdas=(0.875, 0.9), window_rule="constant:2",
+          policy="windowed-drain", trajectory_csv=True),
+     ("run_*.json", "trajectory_*.csv")),
+    (dict(kind="conserve", lambdas=(0.875, 0.9375), c_values=(0.0, 1.0), policy="auto"),
+     ("conserve.csv",)),
+], ids=["simulate", "conserve"])
+def test_pooled_kinds_worker_count_invariance(tmp_path, base, patterns):
+    from qadmit.cli import run_config
+
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        cfg = RunConfig(**base, p=0.5, horizon=800.0, seeds=2, master_seed=4,
+                        workers=workers, out_dir=str(out))
+        assert run_config(cfg) == EXIT_OK
+        outputs.append({f.name: f.read_bytes()
+                        for pattern in patterns for f in sorted(out.glob(pattern))})
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == (8 if base["kind"] == "simulate" else 1)
+
+
 def test_same_master_seed_identical_csv(tmp_path):
     base = dict(
         kind="phase", p=0.5, lambdas=(0.875,), window_rule="zero",

@@ -243,6 +243,41 @@ def test_reference_queue_sources():
         reference_queue(params, "admit-all", seed=1, pilot_horizon=5000.0)
 
 
+def _first_draws(*key):
+    return np.random.default_rng(replication_seed(*key)).random(4).tolist()
+
+
+def test_seed_keys_equal_up_to_four_words_of_trailing_zeros():
+    # SeedSequence pads its entropy to four words with zeros, so a key that
+    # only appends zeros within those four words draws the same numbers
+    draws = _first_draws(5)
+    assert all(_first_draws(5, *[0] * n) == draws for n in (1, 2, 3))
+    assert _first_draws(5, 0, 0, 0, 0) != draws
+
+
+def test_pilot_run_key_is_no_sample_key(monkeypatch):
+    calls = []  # (seed, stream) of every stream the excursion module draws
+    draw = excursion.generate_stream
+
+    def recording(params, horizon, seed):
+        calls.append((seed, draw(params, horizon, seed)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(excursion, "generate_stream", recording)
+    reference_queue(ModelParams(0.9, 0.5, 2.0), "windowed-drain", seed=3, pilot_horizon=500.0)
+    (pilot_key, pilot), = calls
+    calls.clear()
+    estimate_event_probs(make_config(), n_samples=100, seed=3)
+    diversion_idling_diagnostic(make_config(), "windowed-drain", n_samples=2, seed=3,
+                                warmup_time=50.0)
+    assert len(calls) == 102
+    sample_states = {tuple(key.generate_state(8)) for key, _ in calls}
+    assert tuple(pilot_key.generate_state(8)) not in sample_states
+    # so the pilot stream shares no epochs with sample 0 of either run
+    for i in (0, 100):
+        assert not np.isin(pilot.times[:10], calls[i][1].times).any()
+
+
 def test_diagnostic_admit_all_has_no_diversions():
     cfg = make_config(window=1.5, k=2.0, epsilon=0.3, zeta=1.0, phi=3.0, q_ref=2.0)
     report = diversion_idling_diagnostic(
