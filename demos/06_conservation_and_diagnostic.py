@@ -43,11 +43,11 @@ for mult in (0.5, 10.0):
     params = ModelParams(lam, p, window)
     q_ref, source = reference_queue(params, "windowed-drain", seed=1, pilot_horizon=20_000.0)
     config = ExcursionConfig(params=params, k=2.0, epsilon=0.1, zeta=2.0, phi=1.0, q_ref=q_ref)
-    rep = diversion_idling_diagnostic(
+    rep, rows = diversion_idling_diagnostic(
         config, "windowed-drain", n_samples=80, seed=2,
         warmup_time=max(100.0 * window, 3000.0),
     )
-    wasted = sum(r["J"] for r in rep.per_sample) / len(rep.per_sample)
+    wasted = sum(r["J"] for r in rows) / len(rows)
     print(f"W = {window:5.2f} ({mult:4.1f} x log term): q_ref={q_ref:.2f} [{source}], "
           f"P(Q(0) <= 6 q_ref) = {rep.p_e2.mean:.3f}, wasted tokens/path = {wasted:.3f}")
 print("\nshort windows waste tokens (idling the server the budget was meant to")

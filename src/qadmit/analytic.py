@@ -2,8 +2,10 @@
 
 The queue under a threshold policy is a birth-death chain truncated at the
 threshold, so its stationary law, mean queue, and diversion rate have exact
-closed forms.  Those feed the optimal-threshold scaling table, which makes
-the logarithmic growth of the best online queue length directly checkable.
+closed forms, computed from running products of the birth-death ratio
+rather than in log space, with the same bits on every CPU.  Those feed the
+optimal-threshold scaling table, which makes the logarithmic growth of the
+best online queue length directly checkable.
 The module also provides exact Poisson upper tails for the large-deviation
 rate fit; everything here is pure and reentrant.
 """
@@ -45,23 +47,24 @@ class BirthDeathSolution:
 def bd_stationary(params: ModelParams, x: int) -> BirthDeathSolution:
     """Exact stationary distribution of the threshold-x queue.
 
-    Detailed balance gives weights ``rho**q``; normalizing in log space
-    keeps the result stable for large thresholds where ``rho**x``
-    overflows.
+    Detailed balance gives weights ``rho**q``.  Scaled by ``rho**-x`` they
+    are ``r**(x - q)`` with ``r = 1/rho < 1`` in overload, built as running
+    products from 1 at the threshold, so none can overflow.  The weights,
+    their sum and the mean use no ``np.exp`` and no BLAS, whose kernels
+    differ in the last bit between CPUs.
     """
     if x < 0:
         raise ValueError(f"threshold must be >= 0, got {x}")
     rho = params.arrival_rate / params.service_rate
-    levels = np.arange(x + 1)
-    log_w = levels * math.log(rho)
-    w = np.exp(log_w - log_w.max())
+    steps = np.full(x + 1, params.service_rate / params.arrival_rate)
+    steps[0] = 1.0
+    w = np.multiply.accumulate(steps)[::-1]  # w[q] = r**(x - q)
     probs = w / w.sum()
-    mean_queue = float(levels @ probs)
     return BirthDeathSolution(
         threshold=x,
         rho=rho,
         probs=probs,
-        mean_queue=mean_queue,
+        mean_queue=float((np.arange(x + 1) * probs).sum()),
         diversion_rate=params.arrival_rate * float(probs[x]),
     )
 

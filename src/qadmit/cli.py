@@ -11,8 +11,11 @@ directory receives a manifest echoing the exact configuration, the package
 version, and the master seed.  Replications are keyed by (cell, seed)
 index, so results are byte-identical regardless of worker count.
 
-Exit codes: 0 success, 1 runtime failure, 2 config parse error,
-3 validation error; failures print a one-line JSON object to stderr.
+``main`` is the one entry point that takes a config and the one place
+that maps a failure to an exit code: 0 success, 1 runtime failure, 2 config
+parse error, 3 validation error; failures print a one-line JSON object to
+stderr.  ``config_from_mapping`` and ``run_config`` are the two steps it
+runs, for callers that build a config in code.
 """
 
 from __future__ import annotations
@@ -182,6 +185,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigurationError(f"field `workers` must be >= 1, got {cfg.workers}")
     if any(c < 0 for c in cfg.c_values):
         raise ConfigurationError("field `c_values` must be nonnegative")
+    if cfg.kind == "conserve" and not cfg.c_values:
+        raise ConfigurationError("field `c_values` must be a non-empty list for kind `conserve`")
     if cfg.kind in ("excursion", "diagnostic"):
         least = MIN_EVENT_SAMPLES if cfg.kind == "excursion" else 1
         if cfg.n_samples < least:
@@ -315,7 +320,7 @@ def _feasible_lambdas(cfg: RunConfig) -> list[float]:
         if overloaded(lam, cfg.p):
             feasible.append(lam)
         else:
-            logger.warning("skipping infeasible cell lambda=%s (needs > %s)", lam, 1.0 - cfg.p)
+            logger.warning("skipping infeasible cell lambda=%s (outside (%s, 1))", lam, 1.0 - cfg.p)
     return feasible
 
 
@@ -496,15 +501,14 @@ def _run_excursion(cfg: RunConfig, out_dir: Path) -> None:
 
 def _run_diagnostic(cfg: RunConfig, out_dir: Path) -> None:
     config, source = _excursion_config(cfg)
-    report = diversion_idling_diagnostic(config, cfg.policy, cfg.n_samples, cfg.master_seed)
+    report, rows = diversion_idling_diagnostic(config, cfg.policy, cfg.n_samples, cfg.master_seed)
     payload = dataclasses.asdict(report) | {
         "lambda": cfg.lambdas[0], "p": cfg.p, "window": config.params.window,
         "q_ref_source": source,
     }
-    del payload["per_sample"]
     _write_json(out_dir / "diagnostic.json", payload)
     if cfg.per_sample_csv:
-        _write_csv(out_dir / "diagnostic_samples.csv", PER_SAMPLE_COLUMNS, report.per_sample)
+        _write_csv(out_dir / "diagnostic_samples.csv", PER_SAMPLE_COLUMNS, rows)
 
 
 # The experiment kinds, each with the runner that fills its run directory.
@@ -529,50 +533,19 @@ def run_config(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def run_from_config(path) -> int:
-    """Load a config file, dispatch it, and map failures to exit codes."""
-    data, code = _read_config(path)
-    if code != EXIT_OK:
-        return code
-    return _run_mapping(data)
+def _read_config(path) -> dict:
+    """The JSON object in a config file; OSError if unreadable, ValueError if not one."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"top level must be a JSON object, not {type(data).__name__}")
+    return data
 
 
-def _read_config(path):
-    """(parsed JSON object, EXIT_OK), or (None, EXIT_PARSE) after reporting why."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        _emit_error(f"config parse error: {exc}", EXIT_PARSE)
-    except OSError as exc:
-        _emit_error(f"cannot read config: {exc}", EXIT_PARSE)
-    else:
-        if isinstance(data, dict):
-            return data, EXIT_OK
-        what = type(data).__name__
-        _emit_error(f"config parse error: top level must be a JSON object, not {what}", EXIT_PARSE)
-    return None, EXIT_PARSE
-
-
-def _run_mapping(data) -> int:
-    """Validate a config mapping and run it; the one place failures map to exit codes."""
-    try:
-        cfg = config_from_mapping(data)
-    except (ConfigurationError, TypeError) as exc:
-        _emit_error(str(exc), EXIT_VALIDATION)
-        return EXIT_VALIDATION
-    try:
-        return run_config(cfg)
-    except ConfigurationError as exc:
-        _emit_error(str(exc), EXIT_VALIDATION)
-        return EXIT_VALIDATION
-    except Exception as exc:  # noqa: BLE001 - harness boundary
-        _emit_error(f"runtime error: {exc}", EXIT_RUNTIME)
-        return EXIT_RUNTIME
-
-
-def _emit_error(message: str, code: int) -> None:
+def _fail(message: str, code: int) -> int:
+    """Report a failure as a one-line JSON object on stderr; returns its exit code."""
     print(json.dumps({"error": message, "exit": code}), file=sys.stderr)
+    return code
 
 
 def _float_list(text: str) -> list[float]:
@@ -607,11 +580,23 @@ def main(argv=None) -> int:
 
     data: dict = {}
     if config := args.pop("config"):
-        data, code = _read_config(config)
-        if code != EXIT_OK:
-            return code
+        try:
+            data = _read_config(config)
+        except OSError as exc:
+            return _fail(f"cannot read config: {exc}", EXIT_PARSE)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
+            return _fail(f"config parse error: {exc}", EXIT_PARSE)
     data |= {key: value for key, value in args.items() if value is not None}
-    return _run_mapping(data)
+    try:
+        cfg = config_from_mapping(data)
+    except (ConfigurationError, TypeError) as exc:
+        return _fail(str(exc), EXIT_VALIDATION)
+    try:
+        return run_config(cfg)
+    except ConfigurationError as exc:
+        return _fail(str(exc), EXIT_VALIDATION)
+    except Exception as exc:  # noqa: BLE001 - harness boundary
+        return _fail(f"runtime error: {exc}", EXIT_RUNTIME)
 
 
 if __name__ == "__main__":

@@ -19,9 +19,11 @@ lower-bound argument.
 
 One function, ``evaluate_events``, scores a stream: the four indicators,
 the envelope slack (the smallest zeta for which e1 holds) and the stopping
-time.  One generator, ``_sampled_events``, draws one ``generate_stream``
-per sample from ``replication_seed(seed, i)`` and scores it; every
-estimator reads its samples from there.  The diagnostic takes its wasted
+time.  One draw loop, ``_sampled_streams``, yields one ``generate_stream``
+per sample i of a range, seeded by ``replication_seed(seed, i)``; the
+estimators score its streams through ``_sampled_events``, and the
+diagnostic simulates a policy on them.  Every Monte Carlo routine returns
+its report beside its per-sample rows.  The diagnostic takes its wasted
 tokens from the engine's rule, ``sim.wasted_tokens``.
 """
 
@@ -167,17 +169,25 @@ def evaluate_events(
                            e5=z is not None and z <= config.deadline, z_value=z, slack=slack)
 
 
-def _sampled_events(config: ExcursionConfig, n_samples: int, seed: int, first: int = 0):
-    """Score one fresh stream per sample i in [first, first + n_samples).
+def _sampled_streams(params: ModelParams, horizon: float, n_samples: int, seed: int,
+                     first: int = 0):
+    """One fresh stream per sample i in [first, first + n_samples), keyed (seed, i).
 
-    The estimators' one draw loop.  ``generate_stream``, ``replication_seed``
-    and ``evaluate_events`` are looked up as module globals once per sample,
+    The one draw loop of every Monte Carlo routine.  ``generate_stream`` and
+    ``replication_seed`` are looked up as module globals once per sample,
     so a wrapper installed on this module sees every draw.
     """
-    horizon = config.horizon_needed
     for i in range(first, first + n_samples):
-        yield evaluate_events(
-            generate_stream(config.params, horizon, replication_seed(seed, i)), config)
+        yield generate_stream(params, horizon, replication_seed(seed, i))
+
+
+def _sampled_events(config: ExcursionConfig, n_samples: int, seed: int, first: int = 0):
+    """Score the stream of each sample in [first, first + n_samples).
+
+    ``evaluate_events`` is looked up as a module global once per sample too.
+    """
+    for stream in _sampled_streams(config.params, config.horizon_needed, n_samples, seed, first):
+        yield evaluate_events(stream, config)
 
 
 def _check_samples(n_samples: int, least: int = 1) -> None:
@@ -381,7 +391,6 @@ class DiagnosticReport:
     v_last_low: MeanCI
     wasted: MeanCI
     low_at_origin: MeanCI
-    per_sample: list[dict]
 
 
 DEFAULT_WARMUP_EVENTS = 100_000
@@ -420,14 +429,15 @@ def diversion_idling_diagnostic(
     n_samples: int,
     seed: int,
     warmup_time: float | None = None,
-) -> DiagnosticReport:
+) -> tuple[DiagnosticReport, list[dict]]:
     """Warm up a policy, relabel the origin, and probe the base-path logic.
 
     Each sample simulates the policy through a warm-up plus one base path,
     treats the warm-up end as time zero, records e2 (queue at origin at
     most 6 * q_ref) and e1, and conditional on both collects the diversion
     count over the drift stretch, the last-low time, the wasted tokens, and
-    the low-at-origin indicator.
+    the low-at-origin indicator.  Returns the report plus one row per
+    sample, as ``estimate_event_probs`` does.
     """
     _check_samples(n_samples)
     if warmup_time is None:
@@ -439,8 +449,7 @@ def diversion_idling_diagnostic(
     t_end = origin + config.horizon_needed
     policy = make_policy(policy_spec, params)  # run_simulation resets it per sample
     rows = []
-    for i in range(n_samples):
-        st = generate_stream(params, t_end + params.window, replication_seed(seed, i))
+    for i, st in enumerate(_sampled_streams(params, t_end + params.window, n_samples, seed)):
         traj, trace, _ = run_simulation(st, policy, q0=0, t_end=t_end)
         q0 = traj.queue_at(st, origin)
         ev = evaluate_events(st, config, origin=origin)
@@ -480,5 +489,4 @@ def diversion_idling_diagnostic(
         v_last_low=_mean_ci([r["V"] for r in cond]),
         wasted=_mean_ci([r["J"] for r in cond]),
         low_at_origin=_mean_ci([r["L0"] for r in cond]),
-        per_sample=rows,
-    )
+    ), rows

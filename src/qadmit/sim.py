@@ -122,8 +122,10 @@ def run_simulation(
     full windows near the end.  ``burn_in`` is the fraction of leading
     events excluded from the stationary metrics.
     """
-    if q0 < 0:
-        raise ValueError(f"q0 must be >= 0, got {q0}")
+    if not isinstance(q0, (int, np.integer)) or q0 < 0:
+        raise ConfigurationError(f"q0 must be an integer >= 0, got {q0!r}")
+    if not 0.0 <= burn_in < 1.0:  # NaN fails too
+        raise ConfigurationError(f"burn_in must be in [0, 1), got {burn_in!r}")
     if isinstance(policy, str):
         policy = make_policy(policy, stream.params)
     if hasattr(policy, "reset"):
@@ -213,18 +215,8 @@ def wasted_tokens(trajectory: QueueTrajectory, stream: EventStream) -> np.ndarra
     return (stream.marks[:n] == -1) & (trajectory.pre_event_queue == 0)
 
 
-def flow_identity_residual(
-    trajectory: QueueTrajectory, trace, stream: EventStream, t: float
-) -> int:
-    """Q(t) - [Q(0) + S(0,t) + J(t) - H(t)]; zero on every lawful path."""
-    if t > trajectory.t_end:
-        raise OutOfRangeError(f"t={t} beyond simulated range {trajectory.t_end}")
-    n = count_events(stream, t)
-    return int(flow_identity_residuals(trajectory, trace, stream)[n - 1]) if n else 0
-
-
 def flow_identity_residuals(trajectory: QueueTrajectory, trace, stream: EventStream) -> np.ndarray:
-    """Residuals at every simulated event epoch at once."""
+    """Q(t) - [Q(0) + S(0,t) + J(t) - H(t)] at every simulated epoch; zero on a lawful path."""
     n = trajectory.pre_event_queue.size
     s = stream.prefix[1 : n + 1]
     j = np.cumsum(wasted_tokens(trajectory, stream))
@@ -246,9 +238,8 @@ def _segments(trajectory: QueueTrajectory, stream: EventStream, t0: float, t1: f
     """Boundaries and queue values of the piecewise-constant path on [t0, t1]."""
     n0 = count_events(stream, t0)
     n1 = count_events(stream, t1)
-    q_at_t0 = trajectory.post_event_queue[n0 - 1] if n0 >= 1 else trajectory.initial
     bounds = np.concatenate(([t0], stream.times[n0:n1], [t1]))
-    values = np.concatenate(([q_at_t0], trajectory.post_event_queue[n0:n1]))
+    values = np.concatenate(([trajectory.queue_at(stream, t0)], trajectory.post_event_queue[n0:n1]))
     return bounds, values
 
 

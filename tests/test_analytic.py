@@ -1,9 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import qadmit
 from qadmit.analytic import (
     bd_stationary,
     ldp_rate_estimate,
@@ -79,6 +85,40 @@ def test_bd_stable_for_large_threshold():
     assert math.isfinite(sol.mean_queue)
     assert abs(sol.probs.sum() - 1.0) <= 1e-12
     assert 0 <= sol.mean_queue <= 5000
+
+
+# numpy's AVX-512 kernels off, and OpenBLAS's Haswell kernels: what a CPU
+# without AVX-512 runs
+NO_AVX512_ENV = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+                 "OPENBLAS_CORETYPE": "Haswell"}
+BD_POINTS = [(0.9, 0.5, 2), (0.55, 0.5, 27), (0.99, 0.3, 50), (0.999, 0.5, 5000)]
+_BD_BITS = """
+import json, sys
+try:
+    import numpy
+except Exception as exc:  # the variable names features this numpy does not know
+    print(json.dumps({"skip": repr(exc)}))
+    sys.exit()
+sys.path.insert(0, sys.argv[1])
+from qadmit.analytic import bd_stationary
+from qadmit.stream import ModelParams
+sols = [bd_stationary(ModelParams(lam, p), x) for lam, p, x in json.loads(sys.argv[2])]
+print(json.dumps([[v.hex() for v in s.probs.tolist()] + [s.mean_queue.hex(),
+                  s.diversion_rate.hex()] for s in sols]))
+"""
+
+
+def test_bd_stationary_bits_do_not_depend_on_cpu_features():
+    src = str(Path(qadmit.__file__).resolve().parents[1])
+    want = [[v.hex() for v in s.probs.tolist()] + [s.mean_queue.hex(), s.diversion_rate.hex()]
+            for s in (bd_stationary(ModelParams(lam, p), x) for lam, p, x in BD_POINTS)]
+    proc = subprocess.run([sys.executable, "-c", _BD_BITS, src, json.dumps(BD_POINTS)],
+                          env=os.environ | NO_AVX512_ENV, capture_output=True, text=True,
+                          timeout=120, check=True)
+    got = json.loads(proc.stdout)
+    if isinstance(got, dict):
+        pytest.skip(f"numpy does not import under {NO_AVX512_ENV}: {got['skip']}")
+    assert got == want
 
 
 def test_diversion_rate_decreasing_with_drift_limit():

@@ -17,7 +17,6 @@ from qadmit.cli import (
     conservation_sweep,
     main,
     phase_sweep,
-    run_from_config,
 )
 from qadmit.errors import ConfigurationError
 from qadmit.sim import run_simulation
@@ -43,7 +42,7 @@ def read_rows(path):
 
 def test_minimal_simulate_writes_one_summary(tmp_path):
     cfg = write_config(tmp_path, out_dir=str(tmp_path / "out"), **MINIMAL_SIM)
-    assert run_from_config(cfg) == EXIT_OK
+    assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
     out = tmp_path / "out"
     summaries = sorted(out.glob("run_*.json"))
     assert len(summaries) == 1
@@ -61,25 +60,33 @@ def test_minimal_simulate_writes_one_summary(tmp_path):
 
 def test_missing_field_names_it(tmp_path, capsys):
     cfg = write_config(tmp_path, kind="simulate", lambdas=[0.9])
-    assert run_from_config(cfg) == EXIT_VALIDATION
+    assert main(["simulate", "--config", str(cfg)]) == EXIT_VALIDATION
     err = json.loads(capsys.readouterr().err.strip())
     assert "`p`" in err["error"]
 
 
-def test_unknown_kind_rejected(tmp_path):
-    cfg = write_config(tmp_path, kind="explore", p=0.5, lambdas=[0.9])
-    assert run_from_config(cfg) == EXIT_VALIDATION
+def test_unknown_kind_rejected():
+    # main takes the kind from its subcommand, so the mapping is where a kind can be unknown
+    with pytest.raises(ConfigurationError, match="unknown experiment kind"):
+        config_from_mapping(dict(kind="explore", p=0.5, lambdas=[0.9]))
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    assert run_from_config(path) == EXIT_PARSE
+    assert main(["simulate", "--config", str(path)]) == EXIT_PARSE
     assert "parse" in json.loads(capsys.readouterr().err.strip())["error"]
 
 
 def test_missing_file_is_parse_error(tmp_path):
-    assert run_from_config(tmp_path / "absent.json") == EXIT_PARSE
+    assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == EXIT_PARSE
+
+
+def test_undecodable_config_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["simulate", "--config", str(path)]) == EXIT_PARSE
+    assert "parse" in json.loads(capsys.readouterr().err.strip())["error"]
 
 
 @pytest.mark.parametrize("content", ["[1, 2]", "5", '"simulate"'])
@@ -87,7 +94,7 @@ def test_non_object_config_is_parse_error(tmp_path, capsys, content):
     path = tmp_path / "cfg.json"
     path.write_text(content)
     out = tmp_path / "out"
-    assert run_from_config(path) == EXIT_PARSE
+    assert main(["simulate", "--config", str(path)]) == EXIT_PARSE
     assert main(["simulate", "--config", str(path), "--p", "0.5", "--lambdas", "0.9",
                  "--out", str(out)]) == EXIT_PARSE
     errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()
@@ -103,7 +110,7 @@ def test_manifest_version_spawns_no_process(tmp_path, monkeypatch):
 
     monkeypatch.setattr(subprocess, "run", refuse)
     cfg = write_config(tmp_path, out_dir=str(tmp_path / "out"), workers=1, **MINIMAL_SIM)
-    assert run_from_config(cfg) == EXIT_OK
+    assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
     try:
         expected = f"qadmit {metadata.version('qadmit')}"
     except metadata.PackageNotFoundError:
@@ -255,6 +262,25 @@ def test_phase_skips_infeasible_cells(tmp_path, caplog):
         rows = phase_sweep(cfg)
     assert any("skipping" in rec.message for rec in caplog.records)
     assert {r["lambda"] for r in rows} == {0.875}
+
+
+def test_skipped_lambda_names_the_overload_range(tmp_path, caplog):
+    args = ["--p", "0.5", "--lambdas", "1.2,0.875", "--horizon", "200", "--seeds", "1",
+            "--workers", "1", "--out", str(tmp_path / "out")]
+    with caplog.at_level("WARNING"):
+        assert main(["phase", *args]) == EXIT_OK
+    assert [rec.getMessage() for rec in caplog.records if "skipping" in rec.getMessage()] == [
+        "skipping infeasible cell lambda=1.2 (outside (0.5, 1))"]
+
+
+def test_conserve_rejects_empty_c_values_before_any_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, kind="conserve", p=0.5, lambdas=[0.875], c_values=[],
+                       out_dir=str(out))
+    assert main(["conserve", "--config", str(cfg)]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err.strip())
+    assert "`c_values`" in err["error"]
+    assert not out.exists()
 
 
 def test_phase_csv_columns_and_stub(tmp_path):
@@ -525,7 +551,7 @@ EXCURSION_BASE = dict(
 def test_mistyped_field_rejected_before_any_file(tmp_path, capsys, base, field, value):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, **(base | {"out_dir": str(out), field: value}))
-    assert run_from_config(cfg) == EXIT_VALIDATION
+    assert main([base["kind"], "--config", str(cfg)]) == EXIT_VALIDATION
     err = json.loads(capsys.readouterr().err.strip())
     assert err["exit"] == EXIT_VALIDATION
     assert f"`{field}`" in err["error"]
@@ -602,7 +628,8 @@ def test_every_flag_maps_to_its_field(monkeypatch):
     from qadmit import cli
 
     seen = []
-    monkeypatch.setattr(cli, "_run_mapping", lambda data: seen.append(data) or EXIT_OK)
+    monkeypatch.setattr(cli, "config_from_mapping", seen.append)
+    monkeypatch.setattr(cli, "run_config", lambda cfg: EXIT_OK)
     assert main(["simulate", *EVERY_FLAG]) == EXIT_OK
     expected = {
         "kind": "simulate", "p": 0.5, "lambdas": [0.9, 0.95], "window_rule": "log:2",

@@ -280,13 +280,13 @@ def test_pilot_run_key_is_no_sample_key(monkeypatch):
 
 def test_diagnostic_admit_all_has_no_diversions():
     cfg = make_config(window=1.5, k=2.0, epsilon=0.3, zeta=1.0, phi=3.0, q_ref=2.0)
-    report = diversion_idling_diagnostic(
+    report, rows = diversion_idling_diagnostic(
         cfg, "admit-all", n_samples=60, seed=13, warmup_time=200.0
     )
     assert report.n_samples == 60
     if report.n_conditional:
         assert report.y_over_b.mean == 0.0
-    assert all(r["Y"] == 0 for r in report.per_sample)
+    assert all(r["Y"] == 0 for r in rows)
 
 
 @pytest.mark.parametrize("n_samples", [0, -1])
@@ -301,7 +301,7 @@ def test_diagnostic_threshold_e2_markov_bound():
     q_ref, src = reference_queue(params, "threshold:auto")
     assert src == "bd-oracle"
     cfg = ExcursionConfig(params=params, k=2.0, epsilon=0.3, zeta=2.0, phi=2.0, q_ref=q_ref)
-    report = diversion_idling_diagnostic(
+    report, _ = diversion_idling_diagnostic(
         cfg, "threshold:auto", n_samples=260, seed=14, warmup_time=300.0
     )
     # the chain's stationary law satisfies P(Q <= 6 E[Q]) >= 5/6 exactly
@@ -325,11 +325,11 @@ def test_diagnostic_windowed_drain_window_controls_idling():
         cfg = ExcursionConfig(
             params=params, k=2.0, epsilon=0.1, zeta=2.0, phi=1.0, q_ref=2.0
         )
-        report = diversion_idling_diagnostic(
+        _, rows = diversion_idling_diagnostic(
             cfg, "windowed-drain", n_samples=120, seed=16,
             warmup_time=max(100.0 * window, 3000.0),
         )
-        wasted[w_mult] = np.mean([r["J"] for r in report.per_sample])
+        wasted[w_mult] = np.mean([r["J"] for r in rows])
     assert wasted[0.5] > 5.0 * wasted[10.0]
     assert wasted[0.5] > 0.05
 
@@ -363,7 +363,7 @@ def test_diagnostic_builds_its_policy_once(monkeypatch):
     cfg = make_config(window=1.0, k=1.0, epsilon=0.3, zeta=1.0, phi=1.5, q_ref=1.5)
     built = _count_calls(monkeypatch, excursion, "make_policy")
     per_sample = _count_calls(monkeypatch, sim, "make_policy")
-    report = diversion_idling_diagnostic(cfg, "threshold:auto", n_samples=5, seed=15,
-                                         warmup_time=50.0)
+    report, _ = diversion_idling_diagnostic(cfg, "threshold:auto", n_samples=5, seed=15,
+                                            warmup_time=50.0)
     assert report.n_samples == 5
     assert (len(built), len(per_sample)) == (1, 0)

@@ -17,7 +17,6 @@ from qadmit.policy import (
 )
 from qadmit.sim import (
     SimMetrics,
-    flow_identity_residual,
     flow_identity_residuals,
     last_low_time,
     occupancy_fraction,
@@ -54,7 +53,7 @@ def test_token_only_stream_from_q0():
     s = hand_stream([(1.0, -1), (2.0, -1), (3.0, -1)], 4.0)
     traj, trace, _ = run_simulation(s, "admit-all", q0=10)
     assert traj.post_event_queue.tolist() == [9, 8, 7]
-    assert flow_identity_residual(traj, trace, s, 4.0) == 0
+    assert flow_identity_residuals(traj, trace, s).tolist() == [0, 0, 0]
 
 
 def test_unknown_policy_handle():
@@ -65,6 +64,22 @@ def test_unknown_policy_handle():
         run_simulation(s, object())
     with pytest.raises(ValueError):
         run_simulation(s, "admit-all", q0=-1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("burn_in", -0.5), ("burn_in", 1.0), ("burn_in", float("nan")), ("q0", 1.5),
+])
+def test_run_simulation_rejects_bad_burn_in_and_q0(field, value):
+    s = generate_stream(PARAMS, 200.0, seed=5)
+    with pytest.raises(ConfigurationError, match=field):
+        run_simulation(s, "admit-all", **{field: value})
+
+
+def test_run_simulation_takes_a_numpy_integer_q0():
+    s = generate_stream(PARAMS, 200.0, seed=5)
+    traj, trace, _ = run_simulation(s, "admit-all", q0=np.int64(2))
+    assert traj.initial == 2
+    assert not flow_identity_residuals(traj, trace, s).any()
 
 
 def test_threshold_mean_queue_matches_oracle():
@@ -93,21 +108,22 @@ def test_flow_identity_zero_everywhere_mixed_policies():
         s = generate_stream(params, 500.0 + 3.0, replication_seed(60, i))
         q0 = i % 5
         traj, trace, _ = run_simulation(s, spec, q0=q0, t_end=500.0)
-        assert not flow_identity_residuals(traj, trace, s).any()
+        residuals = flow_identity_residuals(traj, trace, s)
+        assert not residuals.any()
         for t in (0.0, 123.4, 500.0):
-            assert flow_identity_residual(traj, trace, s, t) == 0
+            assert not residuals[: count_events(s, t)].any()
 
 
 def test_flow_identity_empty_stream():
     s = hand_stream([], 5.0)
     traj, trace, m = run_simulation(s, "admit-all", q0=3)
-    assert flow_identity_residual(traj, trace, s, 2.0) == 0
+    assert flow_identity_residuals(traj, trace, s).size == 0
     assert m.n_events == 0
 
 
-def test_flow_identity_scalar_equals_vector_on_corrupted_path():
-    # a queue jump no event explains and a flipped decision: the scalar
-    # residual at every epoch is the vector's entry, nonzero ones included
+def test_flow_identity_residuals_see_a_corrupted_path():
+    # a queue jump no event explains and a flipped decision both show in
+    # the residuals
     s = generate_stream(PARAMS, 80.0 + PARAMS.window, replication_seed(61, 0))
     traj, trace, _ = run_simulation(s, "windowed-drain", q0=2, t_end=80.0)
     path = np.concatenate(([traj.initial], traj.post_event_queue))
@@ -118,10 +134,6 @@ def test_flow_identity_scalar_equals_vector_on_corrupted_path():
     bad_trace = dataclasses.replace(trace, decisions=decisions)
     want = flow_identity_residuals(bad, bad_trace, s)
     assert len(set(want.tolist())) >= 3  # zero, the jump, the jump plus the flip
-    got = [flow_identity_residual(bad, bad_trace, s, t) for t in s.times[: want.size]]
-    assert got == want.tolist()
-    assert flow_identity_residual(bad, bad_trace, s, 0.0) == 0  # before the first event
-    assert flow_identity_residual(bad, bad_trace, s, 80.0) == want[-1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -281,7 +293,7 @@ def test_t_end_truncates_and_lookahead_sees_past_it():
     assert traj.pre_event_queue.size == int((s.times <= 100.0).sum())
     assert traj.t_end == 100.0
     with pytest.raises(OutOfRangeError):
-        flow_identity_residual(traj, trace, s, 101.0)
+        traj.queue_at(s, 101.0)
 
 
 class _Delegating:
