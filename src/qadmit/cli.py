@@ -175,6 +175,8 @@ def validate_config(cfg: RunConfig) -> None:
     _parse_window_rule(cfg.window_rule)
     if cfg.seeds < 1:
         raise ConfigurationError(f"field `seeds` must be >= 1, got {cfg.seeds}")
+    if cfg.master_seed < 0:
+        raise ConfigurationError(f"field `master_seed` must be >= 0, got {cfg.master_seed}")
     if cfg.horizon <= 0:
         raise ConfigurationError(f"field `horizon` must be positive, got {cfg.horizon}")
     if not (0.0 <= cfg.burn_in < 1.0):
@@ -586,6 +588,9 @@ def main(argv=None) -> int:
             return _fail(f"cannot read config: {exc}", EXIT_PARSE)
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
             return _fail(f"config parse error: {exc}", EXIT_PARSE)
+        if "kind" in data and data["kind"] != args["kind"]:
+            return _fail(f"config kind `{data['kind']}` differs from the subcommand "
+                         f"`{args['kind']}`", EXIT_VALIDATION)
     data |= {key: value for key, value in args.items() if value is not None}
     try:
         cfg = config_from_mapping(data)

@@ -20,25 +20,31 @@ lower-bound argument.
 One function, ``evaluate_events``, scores a stream: the four indicators,
 the envelope slack (the smallest zeta for which e1 holds) and the stopping
 time.  One draw loop, ``_sampled_streams``, yields one ``generate_stream``
-per sample i of a range, seeded by ``replication_seed(seed, i)``; the
-estimators score its streams through ``_sampled_events``, and the
-diagnostic simulates a policy on them.  Every Monte Carlo routine returns
-its report beside its per-sample rows.  The diagnostic takes its wasted
-tokens from the engine's rule, ``sim.wasted_tokens``.
+per sample i of a range.  Sample i is seeded exactly as
+``replication_seed(seed, i)``, but the Generator states come from
+``replication_generators``, which hashes a block of indices at a time and
+re-seeds one Generator in place; ``generate_stream`` builds each stream
+through its trusted constructor, without re-checking what generation
+guarantees.  The estimators score the streams through ``_sampled_events``,
+and the diagnostic simulates a policy on them.  Every Monte Carlo routine
+returns its report beside its per-sample rows.  The diagnostic takes its
+wasted tokens from the engine's rule, ``sim.wasted_tokens``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .analytic import bd_stationary
-from .errors import ConfigurationError, EstimationError
+from .errors import ConfigurationError, EstimationError, OutOfRangeError
 from .policy import AdmitAllPolicy, ThresholdPolicy, make_policy
 from .sim import last_low_time, run_simulation, wasted_tokens, window_diversions
-from .stream import EventStream, ModelParams, count_events, generate_stream, replication_seed
+from .stream import (EventStream, ModelParams, count_events, generate_stream,
+                     replication_generators, replication_seed)
 
 
 @dataclass(frozen=True)
@@ -49,7 +55,8 @@ class ExcursionConfig:
     the envelope slacks (0 < epsilon < min(zeta, drift)); ``phi`` scales
     the first-passage deadline phi * W; ``q_ref`` is the reference queue
     scale entering the barrier (a measured or oracle stand-in for the
-    optimal mean queue, which has no closed form).
+    optimal mean queue, which has no closed form).  The fields are frozen,
+    so the derived lengths are computed once and kept, not once per sample.
     """
 
     params: ModelParams
@@ -79,27 +86,27 @@ class ExcursionConfig:
     def window(self) -> float:
         return self.params.window
 
-    @property
+    @cached_property
     def buffer_len(self) -> float:
         """Length B of the sustained-drift stretch."""
         return self.k * self.params.window
 
-    @property
+    @cached_property
     def markers(self) -> tuple[float, float, float]:
         w, b = self.params.window, self.buffer_len
         return w, w + b, 2.0 * w + b
 
-    @property
+    @cached_property
     def barrier(self) -> float:
         """Depth the post-U3 walk must undershoot for the stopping time."""
         w, b = self.params.window, self.buffer_len
         return 6.0 * self.q_ref + (self.params.drift - self.epsilon) * b + self.zeta + 4.0 * w
 
-    @property
+    @cached_property
     def deadline(self) -> float:
         return self.phi * self.params.window
 
-    @property
+    @cached_property
     def horizon_needed(self) -> float:
         return self.markers[2] + self.deadline
 
@@ -146,26 +153,34 @@ def evaluate_events(
             f"stream horizon {stream.horizon} shorter than required "
             f"{origin + config.horizon_needed}"
         )
-    count_events(stream, origin)  # OutOfRangeError for a negative origin
+    if not origin >= 0.0:  # NaN included, as count_events rejects it
+        raise OutOfRangeError(f"t={origin} outside [0, {stream.horizon}]")
     times, prefix = stream.times, stream.prefix
     u1, u2, u3 = config.markers
     t1, t3 = origin + u1, origin + u3
-    n0, n1, n2, n3 = times.searchsorted((origin, t1, origin + u2, t3), side="right")
+    n0, n1, n2, n3 = times.searchsorted((origin, t1, origin + u2, t3), side="right").tolist()
+    p0, p1, p2, p3 = prefix.item(n0), prefix.item(n1), prefix.item(n2), prefix.item(n3)
     drift, eps, b = config.params.drift, config.epsilon, config.buffer_len
-    s0 = prefix[n1]
     # left limit at B on the final flat segment
-    slack = abs(float(prefix[n2] - s0) - drift * b) - eps * b
+    slack = abs(float(p2 - p1) - drift * b) - eps * b
     if n2 > n1:
+        # |walk - drift u| after and before each jump, less eps u
         u = times[n1:n2] - t1
-        du = drift * u
-        dev = np.maximum(np.abs(prefix[n1 + 1 : n2 + 1] - s0 - du),
-                         np.abs(prefix[n1:n2] - s0 - du)) - eps * u
-        slack = max(float(dev.max()), slack)
+        walk = prefix[n1 : n2 + 1] - p1
+        after = drift * u
+        before = np.subtract(walk[:-1], after)
+        np.subtract(walk[1:], after, out=after)
+        np.abs(before, out=before)
+        np.abs(after, out=after)
+        np.maximum(after, before, out=after)
+        u *= eps
+        after -= u
+        slack = max(after.item(after.argmax()), slack)  # argmax skips max()'s Python wrapper
     w2 = 2.0 * config.params.window
-    hits = prefix[n3 + 1 :] - prefix[n3] < -config.barrier
-    z = float(times[n3 + hits.argmax()] - t3) if hits.any() else None
-    return EventIndicators(e1=slack <= config.zeta, e3=bool(prefix[n1] - prefix[n0] <= w2),
-                           e4=bool(prefix[n3] - prefix[n2] <= w2),
+    hits = prefix[n3 + 1 :] - p3 < -config.barrier
+    k = hits.argmax().item() if hits.size else 0
+    z = times.item(n3 + k) - t3 if hits.size and hits[k] else None
+    return EventIndicators(e1=slack <= config.zeta, e3=p1 - p0 <= w2, e4=p3 - p2 <= w2,
                            e5=z is not None and z <= config.deadline, z_value=z, slack=slack)
 
 
@@ -173,12 +188,14 @@ def _sampled_streams(params: ModelParams, horizon: float, n_samples: int, seed: 
                      first: int = 0):
     """One fresh stream per sample i in [first, first + n_samples), keyed (seed, i).
 
-    The one draw loop of every Monte Carlo routine.  ``generate_stream`` and
-    ``replication_seed`` are looked up as module globals once per sample,
-    so a wrapper installed on this module sees every draw.
+    The one draw loop of every Monte Carlo routine.  Sample i draws from a
+    Generator seeded exactly as ``replication_seed(seed, i)``, taken from
+    ``replication_generators`` a block at a time.  ``generate_stream`` is
+    looked up as a module global once per sample, so a wrapper installed on
+    this module sees every draw.
     """
-    for i in range(first, first + n_samples):
-        yield generate_stream(params, horizon, replication_seed(seed, i))
+    for rng in replication_generators(seed, first, n_samples):
+        yield generate_stream(params, horizon, rng)
 
 
 def _sampled_events(config: ExcursionConfig, n_samples: int, seed: int, first: int = 0):

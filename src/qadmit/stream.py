@@ -9,13 +9,22 @@ is the net-input walk: a transient random walk whose positive drift
 
 A stream stores 17 bytes per event: float64 epochs, int8 marks and the
 int64 walk ``prefix``.  Running sums of marks belong in int64 (``prefix``
-already holds one); an int8 accumulator would wrap.
+already holds one); an int8 accumulator would wrap.  Hand-built streams
+are checked in full; ``generate_stream`` builds its streams through one
+trusted constructor that skips the checks generation already guarantees.
+
+Replication i of a run is seeded by ``replication_seed(master, i)``.
+``replication_generators`` yields the same Generator states for a whole
+range of i, hashing a block of indices at a time with numpy's SeedSequence
+arithmetic in vectorised uint32 form and re-seeding one Generator in place,
+so a Monte Carlo loop pays no per-sample SeedSequence or Generator setup.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,14 +122,32 @@ class EventStream:
         if not (np.abs(marks) == 1).all():
             raise ValueError("marks must be +1 or -1")
         self.marks = marks.astype(np.int8, copy=False)
+        self._build_prefix()
+
+    @classmethod
+    def _generated(cls, times: np.ndarray, marks: np.ndarray, horizon: float,
+                   params: ModelParams) -> "EventStream":
+        """A stream from :func:`generate_stream`'s arrays, built without re-checking them.
+
+        Generation guarantees 1-d float64 epochs, strictly increasing and at
+        most ``horizon``, and int8 marks of +1/-1.  A zero first gap is
+        possible, though, and no tie nudging covers it, so the first epoch
+        is still checked.
+        """
+        if times.size and not times[0] > 0.0:
+            raise ValueError("event times must lie in (0, horizon]")
+        stream = cls.__new__(cls)
+        stream.times, stream.marks, stream.horizon, stream.params = times, marks, horizon, params
+        stream._build_prefix()
+        return stream
+
+    def _build_prefix(self) -> None:
         # prefix[n] = sum of the first n marks, so S over events (i, j] is
         # prefix[j] - prefix[i]; widen first, then sum in place (a casting
         # cumsum from int8 is about 3x slower)
-        self.prefix = np.empty(marks.size + 1, dtype=np.int64)
-        self.prefix[0] = 0
-        walk = self.prefix[1:]
-        walk[...] = self.marks
-        walk.cumsum(out=walk)
+        self.prefix = np.zeros(self.marks.size + 1, dtype=np.int64)
+        self.prefix[1:] = self.marks
+        self.prefix.cumsum(out=self.prefix)
 
     def __len__(self) -> int:
         return self.times.size
@@ -145,10 +172,112 @@ def replication_seed(master_seed: int, *indices: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(master_seed, *indices))
 
 
+# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's 128-bit
+# LCG multiplier, as in numpy/random/bit_generator.pyx and pcg64.h
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_PCG64_MULT = (2549297995355413924 << 64) | 4865540595714422341
+SEED_BLOCK = 4096  # indices hashed per numpy pass
+
+
+def _seed_words(n: int) -> list[int]:
+    """The uint32 words SeedSequence makes of a non-negative int, low first; 0 gives [0]."""
+    words = []
+    while True:
+        words.append(n & _MASK32)
+        n >>= 32
+        if not n:
+            return words
+
+
+def _pcg64_states(master_words: list[int], indices: np.ndarray) -> list[tuple[int, int]]:
+    """(state, inc) of ``PCG64(SeedSequence((master, i)))`` for each uint32 index i.
+
+    Runs SeedSequence's entropy mixing and ``generate_state(4, uint64)`` on
+    whole columns of uint32 words (wrapping products, as in C), then PCG64's
+    seeding step per row on Python ints.  The hash constants advance the
+    same way for every row, so only the words are arrays.
+    """
+    n = indices.size
+    entropy = [np.full(n, w, dtype=np.uint32) for w in master_words] + [indices]
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> np.uint32(16)
+        return value
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x
+        result -= np.uint32(_MIX_MULT_R) * y
+        result ^= result >> np.uint32(16)
+        return result
+
+    zeros = np.zeros(n, dtype=np.uint32)
+    with np.errstate(over="ignore"):
+        pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
+        for i_src in range(_POOL_SIZE):
+            for i_dst in range(_POOL_SIZE):
+                if i_src != i_dst:
+                    pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+        for word in entropy[_POOL_SIZE:]:
+            for i_dst in range(_POOL_SIZE):
+                pool[i_dst] = mix(pool[i_dst], hashmix(word))
+        # generate_state(4, uint64): 8 uint32 words cycling over the pool,
+        # paired little-endian into 4 uint64 words
+        hash_const = _INIT_B
+        out = []
+        for k in range(8):
+            value = pool[k % _POOL_SIZE] ^ np.uint32(hash_const)
+            hash_const = (hash_const * _MULT_B) & _MASK32
+            value *= np.uint32(hash_const)
+            value ^= value >> np.uint32(16)
+            out.append(value.astype(np.uint64))
+    words = [(out[2 * j] | (out[2 * j + 1] << np.uint64(32))).tolist() for j in range(4)]
+    states = []
+    # PCG64 seeds from (initstate, initseq) = (w0 w1, w2 w3), high word first
+    for w0, w1, w2, w3 in zip(*words):
+        inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
+        states.append((((inc + ((w0 << 64) | w1)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def replication_generators(master_seed: int, first: int, n: int) -> Iterator[np.random.Generator]:
+    """Yield a Generator for each replication i in [first, first + n).
+
+    The i-th yield's state is bit for bit that of
+    ``np.random.default_rng(replication_seed(master_seed, i))``, but one
+    Generator is re-seeded in place: use each before taking the next.
+    Indices are hashed ``SEED_BLOCK`` at a time, so memory stays flat in n.
+    """
+    if master_seed < 0:
+        raise ConfigurationError(f"master seed must be >= 0, got {master_seed}")
+    if first < 0 or first + n > 1 << 32:
+        raise ConfigurationError(
+            f"replication indices must lie in [0, 2**32), got [{first}, {first + n})"
+        )
+    master_words = _seed_words(int(master_seed))
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    for start in range(first, first + n, SEED_BLOCK):
+        indices = np.arange(start, min(start + SEED_BLOCK, first + n), dtype=np.uint32)
+        for state, inc in _pcg64_states(master_words, indices):
+            bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+
 def generate_stream(
     params: ModelParams,
     horizon: float,
-    seed: int | np.random.SeedSequence,
+    seed: int | np.random.SeedSequence | np.random.Generator,
 ) -> EventStream:
     """Sample the merged Poisson stream on (0, horizon].
 
@@ -157,7 +286,9 @@ def generate_stream(
     ``arrival_rate / total_rate``; this is distributionally identical to
     merging two independent Poisson processes but consumes a single RNG
     stream, which keeps runs reproducible.  Identical (params, horizon,
-    seed) yield identical streams.
+    seed) yield identical streams.  A Generator ``seed`` is drawn from as
+    it stands, so a stream from ``replication_generators`` equals the one
+    seeded by the matching ``replication_seed``.
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ConfigurationError(f"horizon must be positive and finite, got {horizon}")
@@ -176,7 +307,7 @@ def generate_stream(
         if chunks:
             part += t_last
         chunks.append(part)
-        t_last = float(part[-1])
+        t_last = part.item(-1)
         if t_last > horizon:
             break
         chunk = max(chunk // 4, 16)
@@ -188,7 +319,7 @@ def generate_stream(
     marks = (rng.random(times.size) < params.arrival_fraction).view(np.int8)
     marks += marks
     marks -= 1
-    return EventStream(times=times, marks=marks, horizon=float(horizon), params=params)
+    return EventStream._generated(times, marks, float(horizon), params)
 
 
 def _nudge_ties(times: np.ndarray, horizon: float) -> np.ndarray:
@@ -198,7 +329,7 @@ def _nudge_ties(times: np.ndarray, horizon: float) -> np.ndarray:
     is bumped forward by one ulp (cascading left to right), and anything
     nudged past the horizon is dropped.
     """
-    if times.size > 1 and (times[1:] <= times[:-1]).any():
+    if times.size > 1 and np.count_nonzero(times[1:] <= times[:-1]):
         for i in range(times.size - 1):
             if times[i + 1] <= times[i]:
                 times[i + 1] = np.nextafter(times[i], np.inf)

@@ -526,6 +526,35 @@ def test_main_validation_error_exit(tmp_path, capsys):
     assert "`p`" in err["error"]
 
 
+@pytest.mark.parametrize("kind, args", [
+    ("excursion", ["--window-rule", "constant:2", "--q-ref", "0.1"]),
+    ("simulate", ["--horizon", "100", "--seeds", "1"]),
+])
+def test_negative_master_seed_rejected_before_any_file(tmp_path, capsys, kind, args):
+    out = tmp_path / "out"
+    rc = main([kind, "--p", "0.5", "--lambdas", "0.9", "--master-seed", "-1", "--out", str(out),
+               *args])
+    assert rc == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit"] == EXIT_VALIDATION
+    assert "`master_seed`" in err["error"]
+    assert not out.exists()
+
+
+def test_config_kind_must_match_the_subcommand(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, **(MINIMAL_SIM | {"kind": "explore", "out_dir": str(out)}))
+    assert main(["simulate", "--config", str(cfg)]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit"] == EXIT_VALIDATION
+    assert "`explore`" in err["error"] and "`simulate`" in err["error"]
+    assert not out.exists()
+    # a file of another known kind is no override either
+    cfg = write_config(tmp_path, **(MINIMAL_SIM | {"kind": "phase", "out_dir": str(out)}))
+    assert main(["simulate", "--config", str(cfg)]) == EXIT_VALIDATION
+    assert not out.exists()
+
+
 EXCURSION_BASE = dict(
     kind="excursion", p=0.5, lambdas=[0.9], window_rule="constant:2", epsilon=0.3,
     n_samples=100, q_ref=0.1,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qadmit import excursion, sim
-from qadmit.errors import ConfigurationError, EstimationError
+from qadmit.errors import ConfigurationError, EstimationError, OutOfRangeError
 from qadmit.excursion import (
     ExcursionConfig,
     default_warmup_time,
@@ -255,27 +255,38 @@ def test_seed_keys_equal_up_to_four_words_of_trailing_zeros():
     assert _first_draws(5, 0, 0, 0, 0) != draws
 
 
+@pytest.mark.parametrize("origin", [-1.0, -1e-300, float("nan")])
+def test_evaluate_events_rejects_an_origin_before_zero(origin):
+    cfg = make_config()
+    s = generate_stream(cfg.params, cfg.horizon_needed + 1.0, 4)
+    with pytest.raises(OutOfRangeError):
+        evaluate_events(s, cfg, origin)
+
+
 def test_pilot_run_key_is_no_sample_key(monkeypatch):
-    calls = []  # (seed, stream) of every stream the excursion module draws
+    calls = []  # (seed, Generator state, stream) of every stream the excursion module draws
     draw = excursion.generate_stream
 
     def recording(params, horizon, seed):
-        calls.append((seed, draw(params, horizon, seed)))
-        return calls[-1][1]
+        # a sample's Generator is re-seeded in place for the next sample, so
+        # its state is read when the stream is drawn
+        state = np.random.default_rng(seed).bit_generator.state
+        calls.append((seed, state, draw(params, horizon, seed)))
+        return calls[-1][2]
 
     monkeypatch.setattr(excursion, "generate_stream", recording)
     reference_queue(ModelParams(0.9, 0.5, 2.0), "windowed-drain", seed=3, pilot_horizon=500.0)
-    (pilot_key, pilot), = calls
+    (pilot_key, _, pilot), = calls
     calls.clear()
     estimate_event_probs(make_config(), n_samples=100, seed=3)
     diversion_idling_diagnostic(make_config(), "windowed-drain", n_samples=2, seed=3,
                                 warmup_time=50.0)
     assert len(calls) == 102
-    sample_states = {tuple(key.generate_state(8)) for key, _ in calls}
-    assert tuple(pilot_key.generate_state(8)) not in sample_states
+    sample_states = [state for _, state, _ in calls]
+    assert np.random.PCG64(pilot_key).state not in sample_states
     # so the pilot stream shares no epochs with sample 0 of either run
     for i in (0, 100):
-        assert not np.isin(pilot.times[:10], calls[i][1].times).any()
+        assert not np.isin(pilot.times[:10], calls[i][2].times).any()
 
 
 def test_diagnostic_admit_all_has_no_diversions():
@@ -347,15 +358,24 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_estimators_draw_and_score_through_module_globals(monkeypatch):
-    # wrappers on the module's generate_stream / replication_seed /
-    # evaluate_events see every sample, one call each, as the benchmark's
-    # tracer relies on when it counts excursion samples and events
+    # wrappers on the module's generate_stream / evaluate_events see every
+    # sample, one call each, as the benchmark's tracer relies on when it
+    # counts excursion samples and events; sample i draws from the state
+    # that replication_seed(21, i) seeds
     cfg = make_config()
     want, _ = estimate_event_probs(cfg, 150, 21)
-    counts = {name: _count_calls(monkeypatch, excursion, name)
-              for name in ("generate_stream", "replication_seed", "evaluate_events")}
+    states = []
+    draw = excursion.generate_stream
+
+    def recording(params, horizon, seed):
+        states.append(seed.bit_generator.state)
+        return draw(params, horizon, seed)
+
+    monkeypatch.setattr(excursion, "generate_stream", recording)
+    scored = _count_calls(monkeypatch, excursion, "evaluate_events")
     report, _ = estimate_event_probs(cfg, 150, 21)
-    assert {name: len(c) for name, c in counts.items()} == dict.fromkeys(counts, 150)
+    assert (len(states), len(scored)) == (150, 150)
+    assert states == [np.random.PCG64(replication_seed(21, i)).state for i in range(150)]
     assert report == want
 
 

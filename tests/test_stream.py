@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from qadmit.errors import ConfigurationError, OutOfRangeError
 from qadmit.stream import (
+    SEED_BLOCK,
     EventStream,
     ModelParams,
     count_events,
     generate_stream,
     net_input,
+    replication_generators,
     replication_seed,
     running_extreme,
     stream_to_csv,
@@ -163,6 +165,63 @@ def test_replication_seed_mixing():
     assert a.times.tobytes() != b.times.tobytes()
     assert a.times.tobytes() == a2.times.tobytes()
     assert replication_seed(5, 1, 2).entropy != replication_seed(5, 2, 1).entropy
+
+
+@pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("first, n", [(0, 25), (75, 25), (SEED_BLOCK - 3, 6), (2**32 - 2, 2)])
+def test_replication_generators_match_numpy(master, first, n):
+    # (0, n) and (3n, n) are sample ranges e5_rate_fit draws; 2**32 - 1 is the last index
+    got = replication_generators(master, first, n)
+    for i, rng in zip(range(first, first + n), got, strict=True):
+        want = np.random.default_rng(replication_seed(master, i))
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert rng.exponential(0.5, 200).tobytes() == want.exponential(0.5, 200).tobytes()
+        assert rng.random(200).tobytes() == want.random(200).tobytes()
+
+
+def test_replication_generators_cross_a_hash_block():
+    # indices are hashed SEED_BLOCK at a time; the block edge changes nothing
+    first, n = 1, SEED_BLOCK + 4
+    got = replication_generators(2**64 + 5, first, n)
+    for i, rng in zip(range(first, first + n), got, strict=True):
+        want = np.random.default_rng(replication_seed(2**64 + 5, i))
+        assert rng.bit_generator.state == want.bit_generator.state
+        if i > SEED_BLOCK - 4:  # the last rows of the first block and the second block
+            assert rng.exponential(1.0, 200).tobytes() == want.exponential(1.0, 200).tobytes()
+
+
+@pytest.mark.parametrize("master, first, n", [(-1, 0, 3), (0, -1, 3), (0, 2**32 - 2, 3)])
+def test_replication_generators_reject_bad_keys(master, first, n):
+    # a negative seed, or an index outside one uint32 word
+    with pytest.raises(ConfigurationError):
+        next(replication_generators(master, first, n))
+
+
+def test_generated_streams_pass_the_checked_constructor():
+    # generate_stream skips EventStream's checks; rebuilding its streams
+    # through them must reproduce the same arrays
+    for i, rng in enumerate(replication_generators(31, 0, 200)):
+        params = ModelParams(0.9, 0.5) if i % 2 else PARAMS
+        s = generate_stream(params, 40.0 + i, rng)
+        checked = EventStream(s.times, s.marks, s.horizon, s.params)
+        assert checked.times.tobytes() == s.times.tobytes()
+        assert checked.marks.dtype == s.marks.dtype == np.int8
+        assert np.array_equal(checked.marks, s.marks)
+        assert np.array_equal(checked.prefix, s.prefix)
+
+
+class _ZeroFirstGap(np.random.Generator):
+    """Draws a zero first gap, which no tie nudging covers."""
+
+    def exponential(self, scale=1.0, size=None):
+        gaps = super().exponential(scale, size)
+        gaps[0] = 0.0
+        return gaps
+
+
+def test_generated_zero_first_epoch_rejected():
+    with pytest.raises(ValueError, match=r"\(0, horizon\]"):
+        generate_stream(PARAMS, 100.0, _ZeroFirstGap(np.random.PCG64(3)))
 
 
 def test_count_events_basics():

@@ -46,6 +46,8 @@ CONFIGS = [
                             "--policy windowed-drain --horizon 500 --seeds 2 --trajectory-csv"),
     ("analytic", "analytic --p 0.5 --lambdas 0.875,0.9375,0.96875"),
     ("excursion-set-q-ref", EXCURSION + " --q-ref 0.1"),
+    # 2**64 + 5: a master seed of three SeedSequence words
+    ("excursion-big-seed", EXCURSION + " --q-ref 0.1 --master-seed 18446744073709551621"),
     ("excursion-bd-oracle", EXCURSION + " --policy threshold:auto"),
     ("excursion-pilot-run", EXCURSION + " --policy windowed-drain"),
     ("diagnostic-threshold", DIAGNOSTIC + " --policy threshold:auto"),
