@@ -14,6 +14,9 @@ The top level exports what the demos and the README use; everything else
 is imported from its submodule (``qadmit.policy``, ``qadmit.sim``, ...).
 """
 
+# the one place the version lives: pyproject.toml and the run manifest read it
+__version__ = "0.1.0"
+
 from .analytic import bd_stationary, ldp_rate_estimate, online_scaling_table, poisson_tail
 from .errors import ConfigurationError, EstimationError, OutOfRangeError
 from .excursion import (

@@ -6,7 +6,8 @@ list of experiment kinds (``simulate``, ``analytic``, ``excursion``,
 writes its run directory.  Each kind is a subcommand taking
 ``--config <json>`` plus one flag per field, named after it (``--out`` for
 ``out_dir``); precedence is CLI > file > defaults.  Every value is checked
-against its field's annotation before any file is written.  Every run
+against its field's annotation before any file is written, and so is the
+memory a sweep's cells would need at once.  Every run
 directory receives a manifest echoing the exact configuration, the package
 version, and the master seed.  Replications are keyed by (cell, seed)
 index, so results are byte-identical regardless of worker count.
@@ -20,7 +21,6 @@ runs, for callers that build a config in code.
 
 from __future__ import annotations
 
-import argparse
 import concurrent.futures
 import csv
 import dataclasses
@@ -32,9 +32,9 @@ import sys
 import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from importlib import metadata
 from pathlib import Path
 
+from . import __version__
 from .analytic import online_scaling_table
 from .errors import ConfigurationError
 from .excursion import (
@@ -198,6 +198,37 @@ def validate_config(cfg: RunConfig) -> None:
         if cfg.q_ref is None and cfg.policy == "admit-all":
             raise ConfigurationError("policy `admit-all` has no stationary queue; set `q_ref`")
         _excursion_config(cfg, resolve_q_ref=False)
+    if cfg.kind in ("simulate", "phase", "conserve"):
+        _check_sweep_memory(cfg, feasible)
+
+
+# Peak bytes per stream event of one simulated cell.  tracemalloc read 34 for
+# threshold:auto (its test bound is 48) and 107 for windowed-drain, whose
+# credit loop runs on Python lists, at lambda = 1 - 2**-5 and horizon 1e5 to 3e5.
+PEAK_BYTES_PER_EVENT = 107
+
+
+def _check_sweep_memory(cfg: RunConfig, lambdas: list[float]) -> None:
+    """Reject a sweep whose cells running at once would not fit in physical memory.
+
+    The peak is the largest cell's expected events, (lambda + 1 - p) *
+    (horizon + W), times PEAK_BYTES_PER_EVENT and the cells run at once.
+    Physical rather than available memory keeps the verdict deterministic;
+    where os.sysconf cannot tell, nothing is checked.
+    """
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    cells = (_conserve_cells if cfg.kind == "conserve" else _rule_cells)(cfg, lambdas)
+    events = max((c["lambda"] + 1.0 - c["p"]) * (cfg.horizon + c["window"]) for c in cells)
+    workers = _pool_size(cfg, len(cells) * cfg.seeds)
+    peak = events * PEAK_BYTES_PER_EVENT * workers
+    if peak > memory:
+        raise ConfigurationError(
+            f"sweep needs ~{peak / 2**30:.3g} GiB at peak ({workers} cells of ~{events:.3g} "
+            f"events at once), over the {memory / 2**30:.3g} GiB of physical memory; "
+            "lower `horizon` or `workers`")
 
 
 def _parse_window_rule(rule: str):
@@ -243,17 +274,10 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _version_string() -> str:
-    try:
-        return f"qadmit {metadata.version('qadmit')}"
-    except metadata.PackageNotFoundError:
-        return "qadmit 0+unknown"
-
-
 def _write_manifest(cfg: RunConfig, out_dir: Path) -> None:
     manifest = {
         "config": dataclasses.asdict(cfg),
-        "version": _version_string(),
+        "version": f"qadmit {__version__}",
         "master_seed": cfg.master_seed,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
@@ -290,6 +314,11 @@ def _simulate_cell(task: tuple) -> dict:
     return {"seed": rep_idx} | {key: getattr(m, key) for key in _SUMMARY_MEANS}
 
 
+def _pool_size(cfg: RunConfig, n_tasks: int) -> int:
+    """How many (cell, seed) tasks of a sweep run at once."""
+    return min(cfg.workers or os.cpu_count() or 1, n_tasks)
+
+
 def _run_grid(cfg: RunConfig, cells: list[dict],
               trajectory_dir: Path | None = None) -> list[list[dict]]:
     """Run `cfg.seeds` replications of each cell.
@@ -306,7 +335,7 @@ def _run_grid(cfg: RunConfig, cells: list[dict],
         for ci, cell in enumerate(cells)
         for ri in range(cfg.seeds)
     ]
-    workers = min(cfg.workers or os.cpu_count() or 1, len(tasks))
+    workers = _pool_size(cfg, len(tasks))
     if workers <= 1:
         results = [_simulate_cell(t) for t in tasks]
     else:
@@ -373,21 +402,26 @@ CONSERVE_COLUMNS = [
 ]
 
 
-def conservation_sweep(cfg: RunConfig) -> list[dict]:
-    """Mean queue plus window against the log term, over a (lambda, c) grid.
-
-    With the policy set to ``auto``, zero-window cells run the online
-    threshold policy and positive windows run the lookahead heuristic.
-    """
+def _conserve_cells(cfg: RunConfig, lambdas) -> list[dict]:
+    """One cell per (lambda, c), with window c * ln(1/(1-lambda))."""
     cells = []
-    for lam in _feasible_lambdas(cfg):
+    for lam in lambdas:
         for c in cfg.c_values:
             window = c * log_scale(lam)
             policy = cfg.policy
             if policy == "auto":
                 policy = "threshold:auto" if window == 0.0 else "windowed-drain"
             cells.append({"lambda": lam, "p": cfg.p, "c": c, "window": window, "policy": policy})
+    return cells
 
+
+def conservation_sweep(cfg: RunConfig) -> list[dict]:
+    """Mean queue plus window against the log term, over a (lambda, c) grid.
+
+    With the policy set to ``auto``, zero-window cells run the online
+    threshold policy and positive windows run the lookahead heuristic.
+    """
+    cells = _conserve_cells(cfg, _feasible_lambdas(cfg))
     rows: list[dict] = []
     ratios_by_lambda: dict[float, list[float]] = {}
     for cell, results in zip(cells, _run_grid(cfg, cells)):
@@ -554,8 +588,8 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
-def _add_field_args(sub: argparse.ArgumentParser) -> None:
-    """`--config`, then a flag per field but `kind` (`--out` for `out_dir`)."""
+def _add_field_args(sub) -> None:
+    """`--config`, then a flag per field but `kind` (`--out` for `out_dir`), on a subparser."""
     sub.add_argument("--config", help="JSON config file")
     for name, (typ, many, _) in _FIELD_TYPES.items():
         if name == "kind":
@@ -570,6 +604,8 @@ def _add_field_args(sub: argparse.ArgumentParser) -> None:
 
 
 def main(argv=None) -> int:
+    import argparse  # only the command line parses flags; a config built in code does not
+
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = argparse.ArgumentParser(
         prog="qadmit",

@@ -18,6 +18,9 @@ Replication i of a run is seeded by ``replication_seed(master, i)``.
 range of i, hashing a block of indices at a time with numpy's SeedSequence
 arithmetic in vectorised uint32 form and re-seeding one Generator in place,
 so a Monte Carlo loop pays no per-sample SeedSequence or Generator setup.
+
+Importing this module loads ``numpy.random``, which numpy 2 would
+otherwise import on first use, so a forked sweep worker inherits it.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401 - numpy 2 loads it lazily; load it once, before a pool forks
 
 from .errors import ConfigurationError, OutOfRangeError
 

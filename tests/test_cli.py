@@ -2,11 +2,15 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import subprocess
+import sys
 from importlib import metadata
+from pathlib import Path
 
 import pytest
 
+import qadmit
 from qadmit.analytic import online_scaling_table
 from qadmit.cli import (
     EXIT_OK,
@@ -111,12 +115,56 @@ def test_manifest_version_spawns_no_process(tmp_path, monkeypatch):
     monkeypatch.setattr(subprocess, "run", refuse)
     cfg = write_config(tmp_path, out_dir=str(tmp_path / "out"), workers=1, **MINIMAL_SIM)
     assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
-    try:
-        expected = f"qadmit {metadata.version('qadmit')}"
-    except metadata.PackageNotFoundError:
-        expected = "qadmit 0+unknown"
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["version"] == expected
+    assert manifest["version"] == f"qadmit {qadmit.__version__}"
+    try:
+        installed = metadata.version("qadmit")
+    except metadata.PackageNotFoundError:
+        return
+    assert installed == qadmit.__version__
+
+
+def test_import_loads_numpy_random_but_no_cli_only_modules():
+    # a fresh interpreter, since pytest itself has loaded argparse and importlib.metadata;
+    # numpy.random is loaded at import so that forked sweep workers inherit it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import qadmit.cli; "
+            "print(sorted(m for m in ('numpy.random', 'importlib.metadata', 'argparse', 'email') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['numpy.random']"
+
+
+def _one_gib(name):
+    return {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**18}[name]
+
+
+def test_sweep_over_physical_memory_rejected_before_any_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["--p", "0.5", "--lambdas", "0.9", "--horizon", "1e13", "--out", str(out)]
+    assert main(["phase", *args]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit"] == EXIT_VALIDATION
+    assert "physical memory" in err["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["simulate", "phase", "conserve"])
+def test_sweep_memory_estimate_against_one_gib(monkeypatch, kind):
+    monkeypatch.setattr(os, "sysconf", _one_gib)
+    base = dict(kind=kind, p=0.5, lambdas=[1 - 2**-5])
+    with pytest.raises(ConfigurationError, match="physical memory"):
+        config_from_mapping(base | {"horizon": 1e8})
+    config_from_mapping(base | {"horizon": 1e5})
+    # ~157 MB a cell: eight at once do not fit, one at a time does
+    with pytest.raises(ConfigurationError, match="8 cells"):
+        config_from_mapping(base | {"horizon": 1e6, "workers": 8})
+    config_from_mapping(base | {"horizon": 1e6, "workers": 1})
+
+
+def test_sweep_memory_unchecked_without_sysconf(monkeypatch):
+    monkeypatch.delattr(os, "sysconf")
+    config_from_mapping(dict(kind="phase", p=0.5, lambdas=[0.9], horizon=1e13))
 
 
 def test_validation_catches_bad_values():
