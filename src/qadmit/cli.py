@@ -7,7 +7,7 @@ writes its run directory.  Each kind is a subcommand taking
 ``--config <json>`` plus one flag per field, named after it (``--out`` for
 ``out_dir``); precedence is CLI > file > defaults.  Every value is checked
 against its field's annotation before any file is written, and so is the
-memory a sweep's cells would need at once.  Every run
+memory the streams a run holds at once would need.  Every run
 directory receives a manifest echoing the exact configuration, the package
 version, and the master seed.  Replications are keyed by (cell, seed)
 index, so results are byte-identical regardless of worker count.
@@ -38,15 +38,24 @@ from . import __version__
 from .analytic import online_scaling_table
 from .errors import ConfigurationError
 from .excursion import (
+    DEFAULT_PILOT_HORIZON,
     MIN_EVENT_SAMPLES,
     ExcursionConfig,
+    default_warmup_time,
     diversion_idling_diagnostic,
     estimate_event_probs,
     reference_queue,
 )
 from .policy import parse_policy_spec
 from .sim import DEFAULT_BURN_IN, run_simulation
-from .stream import ModelParams, generate_stream, log_scale, overloaded, replication_seed
+from .stream import (
+    MAX_REPLICATIONS,
+    ModelParams,
+    generate_stream,
+    log_scale,
+    overloaded,
+    replication_seed,
+)
 
 logger = logging.getLogger("qadmit")
 
@@ -191,13 +200,14 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigurationError("field `c_values` must be a non-empty list for kind `conserve`")
     if cfg.kind in ("excursion", "diagnostic"):
         least = MIN_EVENT_SAMPLES if cfg.kind == "excursion" else 1
-        if cfg.n_samples < least:
+        if not least <= cfg.n_samples <= MAX_REPLICATIONS:  # sample i is replication i
             raise ConfigurationError(
-                f"field `n_samples` must be >= {least} for kind `{cfg.kind}`, got {cfg.n_samples}"
+                f"field `n_samples` must be in [{least}, 2**32] for kind `{cfg.kind}`, "
+                f"got {cfg.n_samples}"
             )
         if cfg.q_ref is None and cfg.policy == "admit-all":
             raise ConfigurationError("policy `admit-all` has no stationary queue; set `q_ref`")
-        _excursion_config(cfg, resolve_q_ref=False)
+        _check_sample_memory(cfg, _excursion_config(cfg, resolve_q_ref=False)[0])
     if cfg.kind in ("simulate", "phase", "conserve"):
         _check_sweep_memory(cfg, feasible)
 
@@ -205,30 +215,57 @@ def validate_config(cfg: RunConfig) -> None:
 # Peak bytes per stream event of one simulated cell.  tracemalloc read 34 for
 # threshold:auto (its test bound is 48) and 107 for windowed-drain, whose
 # credit loop runs on Python lists, at lambda = 1 - 2**-5 and horizon 1e5 to 3e5.
+# The Monte Carlo kinds' streams are counted at the same rate.
 PEAK_BYTES_PER_EVENT = 107
+
+
+def _check_memory(events: float, what: str, remedy: str) -> None:
+    """Reject a run that would hold `events` stream events at once; `what` names them.
+
+    Each event costs PEAK_BYTES_PER_EVENT at peak.  Physical rather than
+    available memory keeps the verdict deterministic; where os.sysconf
+    cannot tell, nothing is checked.
+    """
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    peak = events * PEAK_BYTES_PER_EVENT
+    if peak > memory:
+        raise ConfigurationError(
+            f"{what} need ~{peak / 2**30:.3g} GiB at peak, over the {memory / 2**30:.3g} GiB "
+            f"of physical memory; lower {remedy}")
 
 
 def _check_sweep_memory(cfg: RunConfig, lambdas: list[float]) -> None:
     """Reject a sweep whose cells running at once would not fit in physical memory.
 
     The peak is the largest cell's expected events, (lambda + 1 - p) *
-    (horizon + W), times PEAK_BYTES_PER_EVENT and the cells run at once.
-    Physical rather than available memory keeps the verdict deterministic;
-    where os.sysconf cannot tell, nothing is checked.
+    (horizon + W), times the cells run at once.
     """
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return
     cells = (_conserve_cells if cfg.kind == "conserve" else _rule_cells)(cfg, lambdas)
     events = max((c["lambda"] + 1.0 - c["p"]) * (cfg.horizon + c["window"]) for c in cells)
     workers = _pool_size(cfg, len(cells) * cfg.seeds)
-    peak = events * PEAK_BYTES_PER_EVENT * workers
-    if peak > memory:
-        raise ConfigurationError(
-            f"sweep needs ~{peak / 2**30:.3g} GiB at peak ({workers} cells of ~{events:.3g} "
-            f"events at once), over the {memory / 2**30:.3g} GiB of physical memory; "
-            "lower `horizon` or `workers`")
+    _check_memory(events * workers, f"{workers} cells of ~{events:.3g} events at once",
+                  "`horizon` or `workers`")
+
+
+def _check_sample_memory(cfg: RunConfig, config: ExcursionConfig) -> None:
+    """Reject a Monte Carlo run whose longest stream would not fit in physical memory.
+
+    Samples run one at a time, so the peak is the longer of one sample's
+    stream (its base path, after a warm-up for `diagnostic`) and the pilot
+    run that resolves an unset q_ref for a policy with no birth-death oracle.
+    """
+    window = config.params.window
+    horizon = config.horizon_needed
+    if cfg.kind == "diagnostic":
+        horizon += default_warmup_time(config) + window
+    if cfg.q_ref is None and parse_policy_spec(cfg.policy)[0] != "threshold":
+        horizon = max(horizon, DEFAULT_PILOT_HORIZON + window)
+    events = config.params.total_rate * horizon
+    _check_memory(events, f"`{cfg.kind}` streams of ~{events:.3g} events",
+                  "`phi`, `k` or the window")
 
 
 def _parse_window_rule(rule: str):
@@ -315,8 +352,13 @@ def _simulate_cell(task: tuple) -> dict:
 
 
 def _pool_size(cfg: RunConfig, n_tasks: int) -> int:
-    """How many (cell, seed) tasks of a sweep run at once."""
-    return min(cfg.workers or os.cpu_count() or 1, n_tasks)
+    """How many (cell, seed) tasks of a sweep run at once: `workers`, at most one per CPU.
+
+    A fork pool starts all its workers at once, so more than the CPUs would
+    only add processes; outputs do not depend on the count.
+    """
+    cpus = os.cpu_count() or 1
+    return min(cfg.workers or cpus, cpus, n_tasks)
 
 
 def _run_grid(cfg: RunConfig, cells: list[dict],

@@ -411,6 +411,7 @@ class DiagnosticReport:
 
 
 DEFAULT_WARMUP_EVENTS = 100_000
+DEFAULT_PILOT_HORIZON = 50_000.0
 
 
 def default_warmup_time(config: ExcursionConfig) -> float:
@@ -419,7 +420,7 @@ def default_warmup_time(config: ExcursionConfig) -> float:
 
 
 def reference_queue(params: ModelParams, policy_spec: str, seed: int = 0,
-                    pilot_horizon: float = 50_000.0) -> tuple[float, str]:
+                    pilot_horizon: float = DEFAULT_PILOT_HORIZON) -> tuple[float, str]:
     """Stationary mean-queue stand-in for the barrier's reference scale.
 
     Threshold policies use the exact birth-death oracle; anything else gets

@@ -185,6 +185,7 @@ _POOL_SIZE = 4
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 _PCG64_MULT = (2549297995355413924 << 64) | 4865540595714422341
 SEED_BLOCK = 4096  # indices hashed per numpy pass
+MAX_REPLICATIONS = 1 << 32  # replication indices are hashed as uint32 words
 
 
 def _seed_words(n: int) -> list[int]:
@@ -262,7 +263,7 @@ def replication_generators(master_seed: int, first: int, n: int) -> Iterator[np.
     """
     if master_seed < 0:
         raise ConfigurationError(f"master seed must be >= 0, got {master_seed}")
-    if first < 0 or first + n > 1 << 32:
+    if first < 0 or first + n > MAX_REPLICATIONS:
         raise ConfigurationError(
             f"replication indices must lie in [0, 2**32), got [{first}, {first + n})"
         )

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from importlib import metadata
@@ -17,6 +19,7 @@ from qadmit.cli import (
     EXIT_PARSE,
     EXIT_VALIDATION,
     RunConfig,
+    _pool_size,
     config_from_mapping,
     conservation_sweep,
     main,
@@ -135,8 +138,11 @@ def test_import_loads_numpy_random_but_no_cli_only_modules():
     assert out.stdout.strip() == "['numpy.random']"
 
 
-def _one_gib(name):
-    return {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**18}[name]
+def _physical_memory(n_bytes):
+    return lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": n_bytes // 4096}[name]
+
+
+_one_gib = _physical_memory(2**30)
 
 
 def test_sweep_over_physical_memory_rejected_before_any_file(tmp_path, capsys):
@@ -152,6 +158,7 @@ def test_sweep_over_physical_memory_rejected_before_any_file(tmp_path, capsys):
 @pytest.mark.parametrize("kind", ["simulate", "phase", "conserve"])
 def test_sweep_memory_estimate_against_one_gib(monkeypatch, kind):
     monkeypatch.setattr(os, "sysconf", _one_gib)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # a pool of 8 needs 8 CPUs
     base = dict(kind=kind, p=0.5, lambdas=[1 - 2**-5])
     with pytest.raises(ConfigurationError, match="physical memory"):
         config_from_mapping(base | {"horizon": 1e8})
@@ -160,6 +167,46 @@ def test_sweep_memory_estimate_against_one_gib(monkeypatch, kind):
     with pytest.raises(ConfigurationError, match="8 cells"):
         config_from_mapping(base | {"horizon": 1e6, "workers": 8})
     config_from_mapping(base | {"horizon": 1e6, "workers": 1})
+
+
+def test_monte_carlo_memory_estimate_against_one_gib(monkeypatch):
+    monkeypatch.setattr(os, "sysconf", _one_gib)
+    # ~2.8e9 events in each sample's base path
+    with pytest.raises(ConfigurationError, match="physical memory"):
+        config_from_mapping(EXCURSION_BASE | {"phi": 1e9})
+    # a warm-up of 100 W = 1e8 before each base path: ~1.5e8 events
+    diagnostic = dict(kind="diagnostic", p=0.5, lambdas=[0.9], window_rule="constant:1e6")
+    with pytest.raises(ConfigurationError, match="physical memory"):
+        config_from_mapping(diagnostic)
+    config_from_mapping(diagnostic | {"window_rule": "constant:1e4"})
+
+
+def test_monte_carlo_memory_counts_the_pilot_run(monkeypatch):
+    # 4 MiB: an 11-event base path fits, the 70000-event pilot run does not
+    # (a diagnostic's warm-up alone is longer than the pilot run)
+    monkeypatch.setattr(os, "sysconf", _physical_memory(2**22))
+    drain = EXCURSION_BASE | {"policy": "windowed-drain"}
+    config_from_mapping(drain)
+    config_from_mapping(EXCURSION_BASE | {"q_ref": None})  # the birth-death oracle
+    with pytest.raises(ConfigurationError, match="physical memory"):
+        config_from_mapping(drain | {"q_ref": None})
+
+
+def test_pool_size_at_most_one_worker_per_cpu(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = RunConfig(kind="phase", p=0.5, lambdas=(0.9,), workers=10**6)
+    assert _pool_size(cfg, 10**6) == 2
+    assert _pool_size(cfg, 1) == 1
+    assert _pool_size(dataclasses.replace(cfg, workers=None), 10**6) == 2
+
+
+def test_n_samples_within_the_sample_key_range():
+    # sample i is seeded by a uint32 index, so 2**32 samples is the most there can be
+    for kind in ("excursion", "diagnostic"):
+        base = EXCURSION_BASE | {"kind": kind}
+        config_from_mapping(base | {"n_samples": 2**32})
+        with pytest.raises(ConfigurationError, match="n_samples"):
+            config_from_mapping(base | {"n_samples": 2**32 + 1})
 
 
 def test_sweep_memory_unchecked_without_sysconf(monkeypatch):
@@ -447,6 +494,7 @@ def test_single_lambda_kinds_reject_lists(tmp_path, capsys, kind):
     ("excursion", ["--q-ref", "-0.5"], "q_ref"),
     ("excursion", ["--window-rule", "zero"], "window > 0"),
     ("diagnostic", ["--window-rule", "zero"], "window > 0"),
+    ("diagnostic", ["--n-samples", "4294967297", "--q-ref", "1"], "n_samples"),
 ])
 def test_excursion_geometry_rejected_before_any_file(tmp_path, capsys, kind, args, message):
     out = tmp_path / kind
@@ -721,3 +769,22 @@ def test_every_flag_maps_to_its_field(monkeypatch):
     # an absent flag leaves its field to the file or the default
     assert main(["phase"]) == EXIT_OK
     assert seen[1] == {"kind": "phase"}
+
+
+def _readme_commands():
+    """Each `qadmit ...` command in README.md's bash blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [shlex.split(line)
+            for block in re.findall(r"```bash\n(.*?)```", text, re.S)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("qadmit ")]
+
+
+def test_readme_commands_validate(monkeypatch):
+    from qadmit import cli
+
+    monkeypatch.setattr(cli, "run_config", lambda cfg: EXIT_OK)
+    commands = _readme_commands()
+    assert sorted(argv[1] for argv in commands) == sorted(KIND_RUNS)
+    for argv in commands:
+        assert main(argv[1:]) == EXIT_OK, shlex.join(argv)
