@@ -9,8 +9,11 @@ writes its run directory.  Each kind is a subcommand taking
 against its field's annotation before any file is written, and so is the
 memory the streams a run holds at once would need.  Every run
 directory receives a manifest echoing the exact configuration, the package
-version, and the master seed.  Replications are keyed by (cell, seed)
-index, so results are byte-identical regardless of worker count.
+version, and the master seed.  A sweep's (cell, seed) replications run in
+`workers` forked processes while the calling process only collects their
+results; where ``os.fork`` is missing they run serially.  Replications are
+keyed by (cell, seed) index, so results are byte-identical regardless of
+worker count.
 
 ``main`` is the one entry point that takes a config and the one place
 that maps a failure to an exit code: 0 success, 1 runtime failure, 2 config
@@ -21,13 +24,12 @@ runs, for callers that build a config in code.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import dataclasses
 import json
-import logging
 import math
 import os
+import pickle
 import sys
 import typing
 from dataclasses import dataclass
@@ -56,8 +58,6 @@ from .stream import (
     overloaded,
     replication_seed,
 )
-
-logger = logging.getLogger("qadmit")
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -327,7 +327,7 @@ _SUMMARY_MEANS = (
 
 
 def _simulate_cell(task: tuple) -> dict:
-    """One (cell, seed) simulation; module-level so worker pools can pickle it.
+    """One (cell, seed) simulation.
 
     Returns the seed's summary row.  With a trajectory directory set, the
     run's per-event path is written there as well.
@@ -354,11 +354,93 @@ def _simulate_cell(task: tuple) -> dict:
 def _pool_size(cfg: RunConfig, n_tasks: int) -> int:
     """How many (cell, seed) tasks of a sweep run at once: `workers`, at most one per CPU.
 
-    A fork pool starts all its workers at once, so more than the CPUs would
-    only add processes; outputs do not depend on the count.
+    All workers are forked at once, so more than the CPUs would only add
+    processes; outputs do not depend on the count.
     """
     cpus = os.cpu_count() or 1
     return min(cfg.workers or cpus, cpus, n_tasks)
+
+
+def _run_share(fn, share: list, writer) -> typing.NoReturn:
+    """A forked worker's whole life: run `share` in order, send what came of it, exit.
+
+    It sends ``(results, None)``, or ``(tasks finished, exception)`` once a
+    task raises.  It always leaves through ``os._exit``, so it never returns
+    into the parent's stack, runs no exit handlers and flushes no inherited
+    buffers.
+    """
+    code = 1
+    try:
+        results = []
+        try:
+            for task in share:
+                results.append(fn(task))
+            payload = (results, None)
+        except BaseException as exc:  # noqa: BLE001 - sent to the parent, which raises it
+            payload = (len(results), exc)
+        try:
+            data = pickle.dumps(payload)
+            if payload[1] is not None:
+                pickle.loads(data)  # an exception may pickle and still fail to unpickle
+        except Exception as err:  # noqa: BLE001 - reported in the parent as a RuntimeError
+            what = "results" if payload[1] is None else type(payload[1]).__name__
+            data = pickle.dumps((len(results), RuntimeError(
+                f"a sweep task's {what} cannot be pickled: {err!r}")))
+        writer.write(data)
+        writer.close()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_share(k: int, reader) -> tuple:
+    """Worker k's payload; a worker that sent nothing whole died first."""
+    try:
+        return pickle.loads(reader.read())
+    except (EOFError, pickle.UnpicklingError):
+        return 0, RuntimeError(f"sweep worker {k} died")
+
+
+def _fan_out(fn, tasks: list, workers: int) -> list:
+    """``[fn(t) for t in tasks]``, computed by `workers` forked processes.
+
+    Worker k runs ``tasks[k::workers]`` and pickles what came of it into a
+    pipe of its own.  The calling process runs no task, since its resident
+    set already holds every page touched at import and a task's streams
+    would add to that peak: it only forks, reads each pipe to its end and
+    reaps every worker.  A task's
+    exception is raised here with its own type and message; when several
+    tasks raise, the first in task order wins, as it would serially.
+    Where ``os.fork`` is missing the tasks run here, in order.
+    """
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [fn(t) for t in tasks]
+    readers, pids = [], []
+    try:
+        for k in range(workers):
+            read_fd, write_fd = os.pipe()
+            readers.append(os.fdopen(read_fd, "rb"))
+            with os.fdopen(write_fd, "wb") as writer:  # the parent's copy closes after the fork
+                pid = os.fork()
+                if pid == 0:
+                    for reader in readers:  # the parent's reader is then the only one
+                        reader.close()
+                    _run_share(fn, tasks[k::workers], writer)
+            pids.append(pid)
+        shares = [_read_share(k, reader) for k, reader in enumerate(readers)]
+    finally:
+        for reader in readers:  # a worker still writing then fails and exits
+            reader.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    failures = [(k + done * workers, exc) for k, (done, exc) in enumerate(shares)
+                if exc is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * len(tasks)
+    for k, (share, _) in enumerate(shares):
+        results[k::workers] = share
+    return results
 
 
 def _run_grid(cfg: RunConfig, cells: list[dict],
@@ -369,7 +451,7 @@ def _run_grid(cfg: RunConfig, cells: list[dict],
     `window` and `policy`, plus `window_rule` or `c` for the sweep's kind.
 
     Returns the summary rows grouped by cell, in seed order.  Each task is
-    seeded by its (cell, seed) index and ``pool.map`` keeps task order, so
+    seeded by its (cell, seed) index and ``_fan_out`` keeps task order, so
     the results do not depend on the worker count.
     """
     tasks = [
@@ -377,12 +459,7 @@ def _run_grid(cfg: RunConfig, cells: list[dict],
         for ci, cell in enumerate(cells)
         for ri in range(cfg.seeds)
     ]
-    workers = _pool_size(cfg, len(tasks))
-    if workers <= 1:
-        results = [_simulate_cell(t) for t in tasks]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_simulate_cell, tasks, chunksize=1))
+    results = _fan_out(_simulate_cell, tasks, _pool_size(cfg, len(tasks)))
     return [results[ci * cfg.seeds : (ci + 1) * cfg.seeds] for ci in range(len(cells))]
 
 
@@ -393,7 +470,10 @@ def _feasible_lambdas(cfg: RunConfig) -> list[float]:
         if overloaded(lam, cfg.p):
             feasible.append(lam)
         else:
-            logger.warning("skipping infeasible cell lambda=%s (outside (%s, 1))", lam, 1.0 - cfg.p)
+            import logging  # loaded only when there is something to log
+
+            logging.getLogger("qadmit").warning(
+                "skipping infeasible cell lambda=%s (outside (%s, 1))", lam, 1.0 - cfg.p)
     return feasible
 
 
@@ -646,7 +726,8 @@ def _add_field_args(sub) -> None:
 
 
 def main(argv=None) -> int:
-    import argparse  # only the command line parses flags; a config built in code does not
+    import argparse  # only the command line parses flags and configures logging
+    import logging
 
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = argparse.ArgumentParser(

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from importlib import metadata
@@ -13,12 +14,15 @@ from pathlib import Path
 import pytest
 
 import qadmit
+from qadmit import cli
 from qadmit.analytic import online_scaling_table
 from qadmit.cli import (
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_RUNTIME,
     EXIT_VALIDATION,
     RunConfig,
+    _fan_out,
     _pool_size,
     config_from_mapping,
     conservation_sweep,
@@ -127,15 +131,21 @@ def test_manifest_version_spawns_no_process(tmp_path, monkeypatch):
     assert installed == qadmit.__version__
 
 
-def test_import_loads_numpy_random_but_no_cli_only_modules():
-    # a fresh interpreter, since pytest itself has loaded argparse and importlib.metadata;
-    # numpy.random is loaded at import so that forked sweep workers inherit it
+def test_import_loads_numpy_random_but_no_cli_only_modules(tmp_path):
+    # a fresh interpreter, since pytest itself has loaded argparse, logging and the rest;
+    # numpy.random is loaded at import so that forked sweep workers inherit it, and a
+    # pooled sweep forks them without concurrent.futures or multiprocessing
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = (f"import sys; sys.path.insert(0, {src!r}); import qadmit.cli; "
-            "print(sorted(m for m in ('numpy.random', 'importlib.metadata', 'argparse', 'email') "
-            "if m in sys.modules))")
+    sweep = dict(kind="phase", p=0.5, lambdas=[0.875, 0.9375], horizon=200.0, seeds=2,
+                 workers=2, out_dir=str(tmp_path / "out"))
+    modules = ("numpy.random", "importlib.metadata", "argparse", "email",
+               "concurrent.futures", "multiprocessing", "logging")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import qadmit.cli as cli; "
+            f"assert cli.run_config(cli.config_from_mapping({sweep!r})) == 0; "
+            f"print(sorted(m for m in {modules!r} if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "['numpy.random']"
+    assert (tmp_path / "out" / "phase.csv").is_file()
 
 
 def _physical_memory(n_bytes):
@@ -314,26 +324,145 @@ def test_phase_sweep_worker_count_invariance(tmp_path):
     assert (out1 / "phase.csv").read_bytes() == (out2 / "phase.csv").read_bytes()
 
 
-@pytest.mark.parametrize("base, patterns", [
+@pytest.mark.parametrize("base, seeds, patterns, n_files", [
     (dict(kind="simulate", lambdas=(0.875, 0.9), window_rule="constant:2",
           policy="windowed-drain", trajectory_csv=True),
-     ("run_*.json", "trajectory_*.csv")),
+     2, ("run_*.json", "trajectory_*.csv"), 8),
     (dict(kind="conserve", lambdas=(0.875, 0.9375), c_values=(0.0, 1.0), policy="auto"),
-     ("conserve.csv",)),
-], ids=["simulate", "conserve"])
-def test_pooled_kinds_worker_count_invariance(tmp_path, base, patterns):
+     2, ("conserve.csv",), 1),
+    # 9 tasks: one worker runs 5, the other 4
+    (dict(kind="simulate", lambdas=(0.875, 0.9, 0.9375), window_rule="constant:2",
+          policy="windowed-drain", trajectory_csv=True),
+     3, ("run_*.json", "trajectory_*.csv"), 18),
+    (dict(kind="conserve", lambdas=(0.875,), c_values=(0.0, 1.0, 2.0), policy="auto"),
+     3, ("conserve.csv",), 1),
+], ids=["simulate", "conserve", "simulate-uneven", "conserve-uneven"])
+def test_pooled_kinds_worker_count_invariance(tmp_path, base, seeds, patterns, n_files):
     from qadmit.cli import run_config
 
     outputs = []
     for workers in (1, 2):
         out = tmp_path / f"w{workers}"
-        cfg = RunConfig(**base, p=0.5, horizon=800.0, seeds=2, master_seed=4,
+        cfg = RunConfig(**base, p=0.5, horizon=800.0, seeds=seeds, master_seed=4,
                         workers=workers, out_dir=str(out))
         assert run_config(cfg) == EXIT_OK
         outputs.append({f.name: f.read_bytes()
                         for pattern in patterns for f in sorted(out.glob(pattern))})
     assert outputs[0] == outputs[1]
-    assert len(outputs[0]) == (8 if base["kind"] == "simulate" else 1)
+    assert len(outputs[0]) == n_files
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _square(task):
+    return {"task": task, "square": task * task}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_fan_out_keeps_task_order(workers):
+    for n_tasks in range(1, 8):  # fewer, as many and more tasks than workers
+        tasks = list(range(10, 10 + n_tasks))
+        assert _fan_out(_square, tasks, workers) == [_square(t) for t in tasks]
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_fan_out_runs_no_task_in_the_calling_process():
+    pids = _fan_out(lambda task: os.getpid(), list(range(5)), 2)
+    assert len(set(pids)) == 2 and os.getpid() not in pids
+    assert pids[0::2] == [pids[0]] * 3 and pids[1::2] == [pids[1]] * 2
+    _assert_no_child_left()
+
+
+def test_fan_out_runs_serially_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert _fan_out(lambda task: (task, os.getpid()), [0, 1, 2], 2) == [
+        (task, os.getpid()) for task in (0, 1, 2)]
+
+
+FAILING_PHASE = ["phase", "--p", "0.5", "--lambdas", "0.875,0.9375", "--horizon", "200",
+                 "--seeds", "2"]
+
+
+def _patch_tasks(monkeypatch, fail):
+    """Sweep tasks run `fail(cell, seed)` first; 2 CPUs, so 2 workers do fork."""
+    simulate = cli._simulate_cell
+
+    def patched(task):
+        fail(task[1], task[2])
+        return simulate(task)
+
+    monkeypatch.setattr(cli, "_simulate_cell", patched)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def _run_failing(tmp_path, capsys, workers):
+    code = main([*FAILING_PHASE, "--workers", str(workers), "--out", str(tmp_path / f"w{workers}")])
+    return code, json.loads(capsys.readouterr().err.strip())["error"]
+
+
+def test_worker_exception_exits_as_it_would_serially(tmp_path, monkeypatch, capsys):
+    # tasks 1 and 2 refuse; worker 0 reaches task 2 first, but task 1 comes first
+    def fail(cell, seed):
+        if (cell, seed) in ((0, 1), (1, 0)):
+            raise ConfigurationError(f"task {cell},{seed} refused")
+
+    _patch_tasks(monkeypatch, fail)
+    assert _run_failing(tmp_path, capsys, 1) == (EXIT_VALIDATION, "task 0,1 refused")
+    assert _run_failing(tmp_path, capsys, 2) == (EXIT_VALIDATION, "task 0,1 refused")
+    _assert_no_child_left()
+
+
+class _NoPickle(Exception):
+    def __init__(self):
+        super().__init__("holds a lambda")
+        self.callback = lambda: None
+
+
+class _NoUnpickle(Exception):
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("exc", [_NoPickle(), _NoUnpickle("a", "b")],
+                         ids=lambda e: type(e).__name__)
+def test_unpicklable_worker_exception_is_a_runtime_error(exc):
+    def fail(task):
+        if task == 1:
+            raise exc
+        return task
+
+    with pytest.raises(RuntimeError, match=type(exc).__name__):
+        _fan_out(fail, [0, 1, 2], 2)
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_unpicklable_worker_exception_exits_1(tmp_path, monkeypatch, capsys):
+    def fail(cell, seed):
+        if (cell, seed) == (1, 1):
+            raise _NoPickle()
+
+    _patch_tasks(monkeypatch, fail)
+    code, error = _run_failing(tmp_path, capsys, 2)
+    assert code == EXIT_RUNTIME and "_NoPickle" in error
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_killed_worker_exits_1_and_is_named(tmp_path, monkeypatch, capsys):
+    def fail(cell, seed):
+        if (cell, seed) == (0, 1):  # task 1: worker 1's first
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _patch_tasks(monkeypatch, fail)
+    assert _run_failing(tmp_path, capsys, 2) == (
+        EXIT_RUNTIME, "runtime error: sweep worker 1 died")
+    _assert_no_child_left()
 
 
 def test_same_master_seed_identical_csv(tmp_path):

@@ -5,8 +5,10 @@ Runs a fixed list of small CLI configs, covering all six kinds, once with
 ``--workers 1`` and once with ``--workers 2``, and prints one
 ``<sha256>  <config>/<file>`` line per output file (``manifest.json``,
 which records a timestamp, is left out).  Then it runs each demo and
-prints one ``<sha256>  <demo>:stdout`` line.  Diff the printout of two
-checkouts to see which outputs a change moves:
+prints one ``<sha256>  <demo>:stdout`` line, and last the lines of the
+configs added since (``LATER_CONFIGS``), so that an older printout stays
+a prefix of a newer one.  Diff the printout of two checkouts to see which
+outputs a change moves:
 
     python3 tools/output_digests.py > digests.txt
 
@@ -55,6 +57,13 @@ CONFIGS = [
     ("diagnostic-admit-all", DIAGNOSTIC + " --policy admit-all --q-ref 1.0"),
 ]
 
+# configs printed after the demos, in the order they were added
+LATER_CONFIGS = [
+    # 3 tasks: at --workers 2 one worker runs two of them, the other one
+    ("phase-uneven", "phase --p 0.5 --lambdas 0.9 --policy threshold:auto "
+                     "--horizon 2000 --seeds 3"),
+]
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -65,9 +74,9 @@ def _digests(out_dir: Path) -> dict[str, str]:
             for f in sorted(out_dir.rglob("*")) if f.is_file() and f.name != "manifest.json"}
 
 
-def _run_configs(tmp: Path) -> bool:
+def _run_configs(tmp: Path, configs: list[tuple[str, str]]) -> bool:
     same = True
-    for name, args in CONFIGS:
+    for name, args in configs:
         runs = []
         for workers in (1, 2):
             out = tmp / f"{name}_w{workers}"
@@ -100,8 +109,9 @@ def _run_demos(tmp: Path) -> bool:
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="qadmit-digests-") as tmp:
-        ok = _run_configs(Path(tmp))
+        ok = _run_configs(Path(tmp), CONFIGS)
         ok &= _run_demos(Path(tmp))
+        ok &= _run_configs(Path(tmp), LATER_CONFIGS)
     return 0 if ok else 1
 
 
