@@ -20,10 +20,11 @@ Each class holds its rule twice.  ``decide(state)`` is the reference: one
 arrival at a time, as the generic engine path consults it.  ``simulate(stream,
 path)`` is the kernel that :func:`qadmit.sim.run_simulation` runs instead: it
 fills the post-event queue ``path[1:]`` of an int64 buffer whose ``path[0]``
-holds q0 and returns the int8 decisions.  Admit-all is the closed-form Lindley
-recursion, threshold a blocked clip-map scan in numpy, and windowed-drain a
-credit loop over per-event window lows from a sparse table.  The two agree
-decision for decision, which the tests pin down.
+holds q0 and returns nothing, since the engine reads the diversions off that
+path.  Admit-all is the closed-form Lindley recursion, threshold a blocked
+clip-map scan in numpy, and windowed-drain a credit loop over per-event window
+lows from a sparse table.  The two agree decision for decision, which the
+tests pin down.
 """
 
 from __future__ import annotations
@@ -52,19 +53,6 @@ class PolicyState:
     queue: int
     window: list[tuple[float, int]]
     now: float
-
-
-@dataclass
-class DecisionTrace:
-    """Per-event diversion indicators H(n) aligned with the stream."""
-
-    decisions: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.decisions = np.asarray(self.decisions, dtype=np.int8)
-
-    def count(self) -> int:
-        return int(self.decisions.sum())
 
 
 def min_feasible_threshold(params: ModelParams) -> int:
@@ -169,7 +157,7 @@ class AdmitAllPolicy:
     def decide(self, state: PolicyState) -> bool:
         return False
 
-    def simulate(self, stream: EventStream, path: np.ndarray) -> np.ndarray:
+    def simulate(self, stream: EventStream, path: np.ndarray) -> None:
         # Lindley recursion in closed form: reflection lifts the free walk by
         # the running amount of wasted tokens.
         marks = stream.marks[: path.size - 1]
@@ -177,7 +165,6 @@ class AdmitAllPolicy:
         low = np.minimum.accumulate(base)
         np.minimum(low, 0, out=low)
         base -= low
-        return np.zeros(marks.size, dtype=np.int8)
 
 
 class ThresholdPolicy:
@@ -196,7 +183,7 @@ class ThresholdPolicy:
     def decide(self, state: PolicyState) -> bool:
         return state.queue == self.x
 
-    def simulate(self, stream: EventStream, path: np.ndarray) -> np.ndarray:
+    def simulate(self, stream: EventStream, path: np.ndarray) -> None:
         x = self.x
         marks = stream.marks[: path.size - 1]
         q0 = int(path[0])
@@ -210,7 +197,6 @@ class ThresholdPolicy:
                 free[k + 1 :] = _clip_scan(marks[k + 1 :], x, x)
         else:
             path[1:] = _clip_scan(marks, q0, x)
-        return ((marks == 1) & (path[:-1] == x)).view(np.int8)
 
 
 class WindowedDrainPolicy:
@@ -262,25 +248,21 @@ class WindowedDrainPolicy:
         self.credit -= 1.0
         return True
 
-    def simulate(self, stream: EventStream, path: np.ndarray) -> np.ndarray:
+    def simulate(self, stream: EventStream, path: np.ndarray) -> None:
         n_sim = path.size - 1
         ends = _window_end_indices(stream.times, self.params.window, n_sim)
         lows = _window_lows(stream.prefix, ends)
-        times_l = stream.times[:n_sim].tolist()
-        marks_l = stream.marks[:n_sim].tolist()
         q = int(path[0])
-        qs, diverted = [], []
+        qs = []
         rate = self.params.divert_budget
         credit, last_t = self.credit, self.last_time
-        for i in range(n_sim):
-            if marks_l[i] == 1:
-                t = times_l[i]
+        for mark, t, low in zip(stream.marks[:n_sim].tolist(), stream.times[:n_sim].tolist(), lows):
+            if mark == 1:
                 if t > last_t:
                     credit += rate * (t - last_t)
                     last_t = t
-                if credit >= 1.0 and q + lows[i] >= 1:
+                if credit >= 1.0 and q + low >= 1:
                     credit -= 1.0
-                    diverted.append(i)
                 else:
                     q += 1
             elif q > 0:
@@ -288,9 +270,6 @@ class WindowedDrainPolicy:
             qs.append(q)
         path[1:] = qs
         self.credit, self.last_time = credit, last_t
-        hs = np.zeros(n_sim, dtype=np.int8)
-        hs[diverted] = 1
-        return hs
 
 
 def parse_policy_spec(spec: str) -> tuple[str, int | None]:

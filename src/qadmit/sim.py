@@ -17,6 +17,10 @@ the kernel the engine runs.  Any other object with a ``decide(state)``
 method runs through the generic path, which materializes a
 ``PolicyState`` per arrival and stays as the test oracle: every kernel
 matches it decision for decision.
+
+A kernel, like the generic path, only fills the post-event queue
+``path[1:]`` and returns nothing; the engine reads H off that path as the
+arrivals whose step is 0, and J as the tokens that find the queue empty.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, OutOfRangeError
-from .policy import DecisionTrace, PolicyState, _window_end_indices, make_policy
+from .policy import PolicyState, _window_end_indices, make_policy
 from .stream import EventStream, count_events
 
 DEFAULT_BURN_IN = 0.1
@@ -62,6 +66,19 @@ class QueueTrajectory:
 
 
 @dataclass
+class DecisionTrace:
+    """Per-event diversion indicators H(n) aligned with the stream."""
+
+    decisions: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.decisions = np.asarray(self.decisions, dtype=np.int8)
+
+    def count(self) -> int:
+        return int(self.decisions.sum())
+
+
+@dataclass
 class SimMetrics:
     """Run-level summaries.
 
@@ -80,13 +97,12 @@ class SimMetrics:
     n_burned: int
 
 
-def _simulate_generic(stream: EventStream, policy, path: np.ndarray) -> np.ndarray:
+def _simulate_generic(stream: EventStream, policy, path: np.ndarray) -> None:
     n_sim = path.size - 1
     w = float(getattr(policy, "lookahead", 0.0))
     times = stream.times
     marks_l = stream.marks[:n_sim].tolist()
     ends = _window_end_indices(times, w, n_sim).tolist()
-    hs = np.zeros(n_sim, dtype=np.int8)
     q = int(path[0])
     for i in range(n_sim):
         mk = marks_l[i]
@@ -96,14 +112,11 @@ def _simulate_generic(stream: EventStream, policy, path: np.ndarray) -> np.ndarr
             # float64 differences, as float(times[j]) - t gives them one by one
             win = list(zip((times[i:e] - t).tolist(), stream.marks[i:e].tolist()))
             state = PolicyState(queue=q, window=win, now=t)
-            if policy.decide(state):
-                hs[i] = 1
-            else:
+            if not policy.decide(state):
                 q += 1
         elif q > 0:
             q -= 1
         path[i + 1] = q
-    return hs
 
 
 def run_simulation(
@@ -136,19 +149,20 @@ def run_simulation(
 
     path = np.empty(n_sim + 1, dtype=np.int64)
     path[0] = q0
-    if n_sim == 0:
-        hs = np.zeros(0, dtype=np.int8)
-    elif hasattr(policy, "simulate"):
-        hs = policy.simulate(stream, path)
-    elif hasattr(policy, "decide"):
-        hs = _simulate_generic(stream, policy, path)
-    else:
-        raise ConfigurationError(f"policy handle {policy!r} has no decide()")
+    if n_sim:
+        if hasattr(policy, "simulate"):
+            policy.simulate(stream, path)
+        elif hasattr(policy, "decide"):
+            _simulate_generic(stream, policy, path)
+        else:
+            raise ConfigurationError(f"policy handle {policy!r} has no decide()")
 
     trajectory = QueueTrajectory(
         initial=q0, pre_event_queue=path[:-1], post_event_queue=path[1:], t_end=float(t_end)
     )
-    trace = DecisionTrace(decisions=hs)
+    # H: an admitted arrival raises the queue by one, a diverted one leaves it where it was
+    diverted = (stream.marks[:n_sim] == 1) & (path[1:] == path[:-1])
+    trace = DecisionTrace(decisions=diverted.view(np.int8))
     metrics = _compute_metrics(stream, trajectory, trace, burn_in)
     return trajectory, trace, metrics
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qadmit.analytic import bd_stationary
@@ -169,6 +169,28 @@ class _ReplayPolicy:
         d = self.decisions[self._i]
         self._i += 1
         return bool(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    marks=st.lists(st.sampled_from([1, -1]), min_size=1, max_size=60),
+    q0=st.integers(0, 6),
+    choices=st.lists(st.booleans(), min_size=60, max_size=60),
+)
+@example(marks=[1, -1, 1, 1, -1, -1, 1], q0=0, choices=[True] * 60)
+def test_trace_holds_what_decide_returned(marks, q0, choices):
+    # H is read off the queue path, so tie it to the decide() answers: they
+    # must come back on arrivals, and every token must read 0, also one
+    # that finds the queue empty
+    arrivals = [i for i, mark in enumerate(marks) if mark == 1]
+    choices = choices[: len(arrivals)]
+    s = EventStream(np.arange(1.0, len(marks) + 1.0), np.array(marks), len(marks) + 1.0)
+    traj, trace, _ = run_simulation(s, _ReplayPolicy(choices), q0=q0)
+    expected = np.zeros(len(marks), dtype=np.int8)
+    expected[arrivals] = choices
+    assert trace.decisions.dtype == np.int8
+    assert trace.decisions.tolist() == expected.tolist()
+    assert not flow_identity_residuals(traj, trace, s).any()
 
 
 def test_removing_one_diversion_dominates_pathwise():

@@ -65,6 +65,13 @@ def test_out_of_range_marks_rejected_before_narrowing(form, bad):
         EventStream(np.array([1.0, 2.0, 3.0]), marks, 5.0)
 
 
+@pytest.mark.parametrize("marks", [[True, True], [True, False], np.array([True, True])])
+def test_boolean_marks_rejected(marks):
+    # a bool is no number: [True, True] must not pass as two arrivals
+    with pytest.raises(ValueError, match="marks must be"):
+        EventStream(np.array([1.0, 2.0]), marks, 3.0)
+
+
 @pytest.mark.parametrize("marks", [
     [1, -1, -1, 1, 1],
     np.array([1, -1, -1, 1, 1], dtype=np.int64),

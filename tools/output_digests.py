@@ -14,7 +14,7 @@ outputs a change moves:
 
 Exits 1 if any config's files differ between the two worker counts or a
 demo fails.  Uses only the standard library and the package in ``src/``;
-about 8 s on 2 vCPUs.
+about 7 s on 2 vCPUs.
 """
 
 from __future__ import annotations
