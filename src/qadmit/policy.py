@@ -22,9 +22,9 @@ path)`` is the kernel that :func:`qadmit.sim.run_simulation` runs instead: it
 fills the post-event queue ``path[1:]`` of an int64 buffer whose ``path[0]``
 holds q0 and returns nothing, since the engine reads the diversions off that
 path.  Admit-all is the closed-form Lindley recursion, threshold a blocked
-clip-map scan in numpy, and windowed-drain a credit loop over per-event window
-lows from a sparse table.  The two agree decision for decision, which the
-tests pin down.
+clip-map scan in numpy, and windowed-drain a credit loop, block by block, over
+per-event window lows from one reduceat.  The two agree decision for decision,
+which the tests pin down.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .errors import ConfigurationError
 from .stream import EventStream, ModelParams
 
 _THRESHOLD_SCAN_CAP = 10**6
+_DRAIN_BLOCK = 2**15  # events per block of the windowed-drain kernel
 
 
 @dataclass
@@ -127,22 +128,15 @@ def _window_lows(prefix: np.ndarray, ends: np.ndarray) -> list:
     """min(0, min(prefix[i+2 : ends[i]+2]) - prefix[i+1]) for every event i.
 
     The lowest point of the walk after event i inside its window, 0 for an
-    empty range.  Sparse table: level j holds the min of every 2**j
-    consecutive prefix entries and answers the spans ends[i] - i in
-    [2**j, 2**(j+1)) from two overlapping blocks; one level is held at a time.
+    empty range.  One reduceat over bounds interleaving i+1 and ends[i]+1 takes
+    min(prefix[i+1 : ends[i]+1]), or prefix[i+1] alone where that is empty; the
+    segments in between go unused, and the closed end is folded in after.
     """
-    start = prefix[1 : ends.size + 1]
-    low = start.copy()  # min(prefix[i+1], range min) - prefix[i+1] is the low
-    span = ends - np.arange(ends.size)
-    top = int(span.max(initial=0))
-    level, h = prefix, 1
-    while h <= top:
-        i = np.flatnonzero((span >= h) & (span < 2 * h))
-        low[i] = np.minimum(low[i], np.minimum(level[i + 2], level[ends[i] + 2 - h]))
-        if 2 * h <= top:
-            level = np.minimum(level[:-h], level[h:])
-        h *= 2
-    low -= start
+    starts = np.arange(1, ends.size + 1)
+    bounds = np.stack((starts, ends + 1), axis=1).ravel()
+    low = np.minimum.reduceat(prefix[: ends[-1] + 2], bounds)[::2]
+    np.minimum(low, prefix[ends + 1], out=low)
+    low -= prefix[starts]
     return low.tolist()
 
 
@@ -249,26 +243,29 @@ class WindowedDrainPolicy:
         return True
 
     def simulate(self, stream: EventStream, path: np.ndarray) -> None:
+        # no list or array spans more than one block; suffix views index from its start
         n_sim = path.size - 1
-        ends = _window_end_indices(stream.times, self.params.window, n_sim)
-        lows = _window_lows(stream.prefix, ends)
+        times, window = stream.times, self.params.window
         q = int(path[0])
-        qs = []
         rate = self.params.divert_budget
         credit, last_t = self.credit, self.last_time
-        for mark, t, low in zip(stream.marks[:n_sim].tolist(), stream.times[:n_sim].tolist(), lows):
-            if mark == 1:
-                if t > last_t:
-                    credit += rate * (t - last_t)
-                    last_t = t
-                if credit >= 1.0 and q + low >= 1:
-                    credit -= 1.0
-                else:
-                    q += 1
-            elif q > 0:
-                q -= 1
-            qs.append(q)
-        path[1:] = qs
+        for a in range(0, n_sim, _DRAIN_BLOCK):
+            b = min(a + _DRAIN_BLOCK, n_sim)
+            lows = _window_lows(stream.prefix[a:], _window_end_indices(times[a:], window, b - a))
+            qs = []
+            for mark, t, low in zip(stream.marks[a:b].tolist(), times[a:b].tolist(), lows):
+                if mark == 1:
+                    if t > last_t:
+                        credit += rate * (t - last_t)
+                        last_t = t
+                    if credit >= 1.0 and q + low >= 1:
+                        credit -= 1.0
+                    else:
+                        q += 1
+                elif q > 0:
+                    q -= 1
+                qs.append(q)
+            path[a + 1 : b + 1] = qs
         self.credit, self.last_time = credit, last_t
 
 

@@ -99,7 +99,7 @@ class EventStream:
     ``prefix[n]`` the sum of the first n marks.  Hand-built marks of any
     integer, float or list form are checked at their own dtype before they
     are narrowed, so a value such as 255 or 1.5 is rejected rather than
-    wrapped or truncated; boolean marks are rejected outright.
+    wrapped or truncated; any boolean mark is rejected outright.
     The stream is immutable after construction and safe to share read-only.
     ``params`` records the generating model when the stream came from
     :func:`generate_stream`; hand-built streams may leave it ``None``.
@@ -123,8 +123,11 @@ class EventStream:
                 raise ValueError("event times must be strictly increasing")
             if self.times[0] <= 0.0 or self.times[-1] > self.horizon:
                 raise ValueError("event times must lie in (0, horizon]")
-        # a bool is no number: True would pass as +1, but False never as -1
-        if marks.dtype == np.bool_ or not (np.abs(marks) == 1).all():
+        # a bool is no number: True would pass as +1, but False never as -1;
+        # asarray turns a list that mixes bools and integers into integers
+        if (marks.dtype == np.bool_ or not (np.abs(marks) == 1).all()
+                or not isinstance(self.marks, np.ndarray)
+                and any(isinstance(m, (bool, np.bool_)) for m in self.marks)):
             raise ValueError("marks must be +1 or -1")
         self.marks = marks.astype(np.int8, copy=False)
         self._build_prefix()

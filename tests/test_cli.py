@@ -173,10 +173,10 @@ def test_sweep_memory_estimate_against_one_gib(monkeypatch, kind):
     with pytest.raises(ConfigurationError, match="physical memory"):
         config_from_mapping(base | {"horizon": 1e8})
     config_from_mapping(base | {"horizon": 1e5})
-    # ~157 MB a cell: eight at once do not fit, one at a time does
+    # ~141 MB a cell: eight at once do not fit, one at a time does
     with pytest.raises(ConfigurationError, match="8 cells"):
-        config_from_mapping(base | {"horizon": 1e6, "workers": 8})
-    config_from_mapping(base | {"horizon": 1e6, "workers": 1})
+        config_from_mapping(base | {"horizon": 2e6, "workers": 8})
+    config_from_mapping(base | {"horizon": 2e6, "workers": 1})
 
 
 def test_monte_carlo_memory_estimate_against_one_gib(monkeypatch):
@@ -192,9 +192,9 @@ def test_monte_carlo_memory_estimate_against_one_gib(monkeypatch):
 
 
 def test_monte_carlo_memory_counts_the_pilot_run(monkeypatch):
-    # 4 MiB: an 11-event base path fits, the 70000-event pilot run does not
-    # (a diagnostic's warm-up alone is longer than the pilot run)
-    monkeypatch.setattr(os, "sysconf", _physical_memory(2**22))
+    # 2 MiB: an 11-event base path fits, the 70000-event pilot run (~3.4 MB)
+    # does not (a diagnostic's warm-up alone is longer than the pilot run)
+    monkeypatch.setattr(os, "sysconf", _physical_memory(2**21))
     drain = EXCURSION_BASE | {"policy": "windowed-drain"}
     config_from_mapping(drain)
     config_from_mapping(EXCURSION_BASE | {"q_ref": None})  # the birth-death oracle
@@ -235,6 +235,26 @@ def test_validation_catches_bad_values():
         config_from_mapping(dict(kind="simulate", p=0.5, lambdas=[0.9], window_rule="cubic:2"))
     with pytest.raises(ConfigurationError):
         config_from_mapping(dict(kind="simulate", p=0.5, lambdas=[0.9], typo=1))
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--seeds", "0"], "`seeds`"),
+    (["--horizon", "0"], "`horizon`"),
+    (["--horizon=-1"], "`horizon`"),
+    (["--burn-in", "1.0"], "`burn_in`"),
+    (["--burn-in=-0.1"], "`burn_in`"),
+    (["--q0=-1"], "`q0`"),
+    (["--workers", "0"], "`workers`"),  # else it would mean one worker per CPU
+    (["--c-values=1,-1"], "`c_values`"),
+    (["--lambdas", "0.3,0.5"], "`lambdas`"),  # none above 1 - p
+    (["--window-rule", "constant:abc"], "window rule"),
+])
+def test_out_of_range_field_exits_before_the_manifest(tmp_path, capsys, flags, name):
+    out = tmp_path / "out"
+    base = ["--p", "0.5", "--lambdas", "0.9", "--horizon", "100", "--out", str(out)]
+    assert main(["phase", *base, *flags]) == EXIT_VALIDATION
+    assert name in json.loads(capsys.readouterr().err.strip())["error"]
+    assert not (out / "manifest.json").exists()
 
 
 def test_conserve_defaults_to_auto_policy():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qadmit import policy as policy_module
 from qadmit.analytic import bd_stationary
 from qadmit.errors import ConfigurationError, OutOfRangeError
 from qadmit.policy import (
@@ -498,11 +500,44 @@ def test_windowed_drain_kernel_hand_streams(p, q0, pairs, expected):
     assert hs.decisions.tolist() == expected
 
 
+@pytest.mark.parametrize("block", [1, 2, 7])
+@pytest.mark.parametrize("window", [0.0, 3.0, 40.0])
+def test_windowed_drain_kernel_matches_generic_across_blocks(monkeypatch, block, window):
+    # at rate ~1.47 a window of 40 holds ~59 events, so it spans many blocks,
+    # and the credit and queue carry across every block edge
+    monkeypatch.setattr(policy_module, "_DRAIN_BLOCK", block)
+    params = ModelParams(0.96875, 0.5, window)
+    s = generate_stream(params, 300.0 + window, seed=block)
+    for q0, t_end in ((0, 300.0), (4, 300.0), (2, float(s.times[-1]))):
+        hs = _assert_drain_matches_generic(s, params, q0, t_end)
+        assert hs.decisions.any()
+
+
+@pytest.mark.parametrize("horizon", [1e5, 3e5])
+@pytest.mark.parametrize("window", [8 * math.log(32), 200.0])
+def test_windowed_drain_run_memory_per_event(horizon, window):
+    # the kernel's arrays and lists span one block, so the peak is the
+    # stream and the path (as for threshold) plus a fixed per-block term
+    params = ModelParams(1 - 2**-5, 0.5, window)
+    run_simulation(generate_stream(params, 100.0 + window, seed=0), "windowed-drain",
+                   t_end=100.0)  # warm caches
+    tracemalloc.start()
+    try:
+        s = generate_stream(params, horizon + window, seed=3)
+        run_simulation(s, "windowed-drain", t_end=horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(s) <= 48.0
+
+
 # -- the window lows behind the windowed-drain kernel ---------------------------
 
-# window spans (later events in a full window) on each side of every level
-# boundary of the sparse table: 2**j - 1, 2**j and 2**j + 1 for j = 0..6,
-# with span 0 (W = 0) among them, and one window that covers the whole stream
+# window spans (later events in a full window): 0 (W = 0), where every
+# reduceat segment is empty; 2**j - 1, 2**j and 2**j + 1 for j = 0..6, short
+# and long spans on both sides of each power of two, where a minimum built
+# from power-of-two tables would split a window; and one window that covers
+# the whole stream, whose reduceat runs over all of prefix
 LEVEL_SPANS = sorted({2**j + d for j in range(7) for d in (-1, 0, 1)}) + [10**6]
 
 

@@ -65,11 +65,21 @@ def test_out_of_range_marks_rejected_before_narrowing(form, bad):
         EventStream(np.array([1.0, 2.0, 3.0]), marks, 5.0)
 
 
-@pytest.mark.parametrize("marks", [[True, True], [True, False], np.array([True, True])])
+@pytest.mark.parametrize("marks", [
+    [True, True], [True, False], np.array([True, True]),
+    # asarray makes these int64 or float64 and would hide the bool
+    [True, 1], (1, True), [-1, np.True_], [1.0, True],
+])
 def test_boolean_marks_rejected(marks):
     # a bool is no number: [True, True] must not pass as two arrivals
     with pytest.raises(ValueError, match="marks must be"):
         EventStream(np.array([1.0, 2.0]), marks, 3.0)
+
+
+def test_boolean_mark_among_pairs_rejected():
+    with pytest.raises(ValueError, match="marks must be"):
+        EventStream.from_pairs([(1.0, 1), (2.0, True)], 3.0)
+    assert EventStream.from_pairs([(1.0, 1), (2.0, -1)], 3.0).marks.tolist() == [1, -1]
 
 
 @pytest.mark.parametrize("marks", [
@@ -174,10 +184,11 @@ def test_replication_seed_mixing():
     assert replication_seed(5, 1, 2).entropy != replication_seed(5, 2, 1).entropy
 
 
-@pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+@pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 7])
 @pytest.mark.parametrize("first, n", [(0, 25), (75, 25), (SEED_BLOCK - 3, 6), (2**32 - 2, 2)])
 def test_replication_generators_match_numpy(master, first, n):
-    # (0, n) and (3n, n) are sample ranges e5_rate_fit draws; 2**32 - 1 is the last index
+    # (0, n) and (3n, n) are sample ranges e5_rate_fit draws; 2**32 - 1 is the last index;
+    # 2**96 + 7 is four entropy words, so the index word is mixed in past the 4-word pool
     got = replication_generators(master, first, n)
     for i, rng in zip(range(first, first + n), got, strict=True):
         want = np.random.default_rng(replication_seed(master, i))

@@ -62,6 +62,10 @@ LATER_CONFIGS = [
     # 3 tasks: at --workers 2 one worker runs two of them, the other one
     ("phase-uneven", "phase --p 0.5 --lambdas 0.9 --policy threshold:auto "
                      "--horizon 2000 --seeds 3"),
+    # ~36k events a cell: the windowed-drain kernel's windows cross its
+    # 2**15-event block edge
+    ("phase-drain-blocks", "phase --p 0.5 --lambdas 0.9375 --window-rule log:8 "
+                           "--policy windowed-drain --horizon 25000 --seeds 2"),
 ]
 
 
