@@ -9,9 +9,8 @@ Uses a scaled-down budget so it runs in under a minute; the acceptance
 suite runs the full-size version.
 """
 
-import math
-
 from qadmit.cli import RunConfig, phase_sweep
+from qadmit.stream import log_scale
 
 grid = tuple(1 - 2.0**-k for k in range(3, 7))
 
@@ -30,7 +29,7 @@ for k, look, online in zip(range(3, 7), results["log:8"], results["zero"]):
     lam = look["lambda"]
     print(f"{k:3d} {lam:10.6f} {look['window']:7.2f} | "
           f"{look['mean_queue_event']:12.3f} | {online['mean_queue_event']:9.3f} "
-          f"{math.log(1 / (1 - lam)):9.3f}")
+          f"{log_scale(lam):9.3f}")
 
 print("""
 Reading the table: the online column tracks ln(1/(1-lambda)), adding

@@ -10,8 +10,6 @@ to later idling: shrinking the certification window makes the drain policy
 waste tokens, which is exactly the mechanism that forces the floor.
 """
 
-import math
-
 from qadmit import (
     ExcursionConfig,
     ModelParams,
@@ -19,6 +17,7 @@ from qadmit import (
     reference_queue,
 )
 from qadmit.cli import RunConfig, conservation_sweep
+from qadmit.stream import log_scale
 
 grid = tuple(1 - 2.0**-k for k in range(3, 6))
 cfg = RunConfig(
@@ -39,7 +38,7 @@ print("exchangeable currencies with a conserved log-scale total")
 print("\n--- diversion/idling diagnostic (warm-started, relabeled origin) ---")
 lam, p = 0.95, 0.5
 for mult in (0.5, 10.0):
-    window = mult * math.log(1.0 / (1.0 - lam))
+    window = mult * log_scale(lam)
     params = ModelParams(lam, p, window)
     q_ref, source = reference_queue(params, "windowed-drain", seed=1, pilot_horizon=20_000.0)
     config = ExcursionConfig(params=params, k=2.0, epsilon=0.1, zeta=2.0, phi=1.0, q_ref=q_ref)

@@ -6,8 +6,10 @@ list of experiment kinds (``simulate``, ``analytic``, ``excursion``,
 writes its run directory.  Each kind is a subcommand taking
 ``--config <json>`` plus one flag per field, named after it (``--out`` for
 ``out_dir``); precedence is CLI > file > defaults.  Every value is checked
-against its field's annotation before any file is written, and so is the
-memory the streams a run holds at once would need.  Every run
+against its field's annotation before any file is written, and so are the
+memory the streams a run holds at once would need and the source of an
+unset `q_ref` (``excursion.q_ref_source``, the rule the run resolves it
+by).  Every run
 directory receives a manifest echoing the exact configuration, the package
 version, and the master seed.  A sweep's (cell, seed) replications run in
 `workers` forked processes while the calling process only collects their
@@ -46,6 +48,7 @@ from .excursion import (
     default_warmup_time,
     diversion_idling_diagnostic,
     estimate_event_probs,
+    q_ref_source,
     reference_queue,
 )
 from .policy import parse_policy_spec
@@ -192,6 +195,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigurationError(f"field `burn_in` must be in [0,1), got {cfg.burn_in}")
     if cfg.q0 < 0:
         raise ConfigurationError(f"field `q0` must be >= 0, got {cfg.q0}")
+    if cfg.q0 > 2**62:  # then q0 plus the events of any stream the memory rule lets in fit int64
+        raise ConfigurationError(f"field `q0` must be <= 2**62, got {cfg.q0}")
     if cfg.workers is not None and cfg.workers < 1:
         raise ConfigurationError(f"field `workers` must be >= 1, got {cfg.workers}")
     if any(c < 0 for c in cfg.c_values):
@@ -205,11 +210,27 @@ def validate_config(cfg: RunConfig) -> None:
                 f"field `n_samples` must be in [{least}, 2**32] for kind `{cfg.kind}`, "
                 f"got {cfg.n_samples}"
             )
-        if cfg.q_ref is None and cfg.policy == "admit-all":
-            raise ConfigurationError("policy `admit-all` has no stationary queue; set `q_ref`")
-        _check_sample_memory(cfg, _excursion_config(cfg, resolve_q_ref=False)[0])
+        # samples run one at a time, so the peak is the longer of one sample's
+        # stream (its base path, after a warm-up for `diagnostic`) and the pilot
+        # run that resolves an unset q_ref, which the geometry holds at 0.0 here
+        pilot = cfg.q_ref is None and q_ref_source(cfg.policy) == "pilot-run"
+        config, _ = _excursion_config(dataclasses.replace(cfg, q_ref=cfg.q_ref or 0.0))
+        horizon = config.horizon_needed
+        if cfg.kind == "diagnostic":
+            horizon += default_warmup_time(config) + config.window
+        if pilot:
+            horizon = max(horizon, DEFAULT_PILOT_HORIZON + config.window)
+        events = config.params.total_rate * horizon
+        _check_memory(events, f"`{cfg.kind}` streams of ~{events:.3g} events",
+                      "`phi`, `k` or the window")
     if cfg.kind in ("simulate", "phase", "conserve"):
-        _check_sweep_memory(cfg, feasible)
+        # the largest cell's expected events, (lambda + 1 - p) * (horizon + W),
+        # times the cells run at once
+        cells = (_conserve_cells if cfg.kind == "conserve" else _rule_cells)(cfg, feasible)
+        events = max((c["lambda"] + 1.0 - c["p"]) * (cfg.horizon + c["window"]) for c in cells)
+        workers = _pool_size(cfg, len(cells) * cfg.seeds)
+        _check_memory(events * workers, f"{workers} cells of ~{events:.3g} events at once",
+                      "`horizon` or `workers`")
 
 
 # Peak bytes per stream event of one simulated cell, the bound the tests hold
@@ -235,37 +256,6 @@ def _check_memory(events: float, what: str, remedy: str) -> None:
         raise ConfigurationError(
             f"{what} need ~{peak / 2**30:.3g} GiB at peak, over the {memory / 2**30:.3g} GiB "
             f"of physical memory; lower {remedy}")
-
-
-def _check_sweep_memory(cfg: RunConfig, lambdas: list[float]) -> None:
-    """Reject a sweep whose cells running at once would not fit in physical memory.
-
-    The peak is the largest cell's expected events, (lambda + 1 - p) *
-    (horizon + W), times the cells run at once.
-    """
-    cells = (_conserve_cells if cfg.kind == "conserve" else _rule_cells)(cfg, lambdas)
-    events = max((c["lambda"] + 1.0 - c["p"]) * (cfg.horizon + c["window"]) for c in cells)
-    workers = _pool_size(cfg, len(cells) * cfg.seeds)
-    _check_memory(events * workers, f"{workers} cells of ~{events:.3g} events at once",
-                  "`horizon` or `workers`")
-
-
-def _check_sample_memory(cfg: RunConfig, config: ExcursionConfig) -> None:
-    """Reject a Monte Carlo run whose longest stream would not fit in physical memory.
-
-    Samples run one at a time, so the peak is the longer of one sample's
-    stream (its base path, after a warm-up for `diagnostic`) and the pilot
-    run that resolves an unset q_ref for a policy with no birth-death oracle.
-    """
-    window = config.params.window
-    horizon = config.horizon_needed
-    if cfg.kind == "diagnostic":
-        horizon += default_warmup_time(config) + window
-    if cfg.q_ref is None and parse_policy_spec(cfg.policy)[0] != "threshold":
-        horizon = max(horizon, DEFAULT_PILOT_HORIZON + window)
-    events = config.params.total_rate * horizon
-    _check_memory(events, f"`{cfg.kind}` streams of ~{events:.3g} events",
-                  "`phi`, `k` or the window")
 
 
 def _parse_window_rule(rule: str):
@@ -620,18 +610,16 @@ def _run_conserve(cfg: RunConfig, out_dir: Path) -> None:
     _write_sweep(out_dir, "conserve", CONSERVE_COLUMNS, conservation_sweep(cfg), "ratio", "c")
 
 
-def _excursion_config(cfg: RunConfig, resolve_q_ref: bool = True) -> tuple[ExcursionConfig, str]:
+def _excursion_config(cfg: RunConfig) -> tuple[ExcursionConfig, str]:
     """Base-path geometry of the single lambda, and where its q_ref came from.
 
-    An unset q_ref resolves via reference_queue, or to 0 (a stand-in for
-    the value >= 0 it resolves to) when only the geometry is checked.
+    An unset q_ref resolves via reference_queue, by the rule of q_ref_source.
     """
     lam = cfg.lambdas[0]
     params = ModelParams(lam, cfg.p, _parse_window_rule(cfg.window_rule)(lam))
     q_ref, source = cfg.q_ref, "config"
     if q_ref is None:
-        q_ref, source = (reference_queue(params, cfg.policy, seed=cfg.master_seed)
-                         if resolve_q_ref else (0.0, "unresolved"))
+        q_ref, source = reference_queue(params, cfg.policy, seed=cfg.master_seed)
     return ExcursionConfig(
         params=params, k=cfg.k, epsilon=cfg.epsilon, zeta=cfg.zeta, phi=cfg.phi, q_ref=q_ref
     ), source

@@ -28,7 +28,9 @@ through its trusted constructor, without re-checking what generation
 guarantees.  The estimators score the streams through ``_sampled_events``,
 and the diagnostic simulates a policy on them.  Every Monte Carlo routine
 returns its report beside its per-sample rows.  The diagnostic takes its
-wasted tokens from the engine's rule, ``sim.wasted_tokens``.
+wasted tokens from the engine's rule, ``sim.wasted_tokens``.  Where an
+unset q_ref comes from is one rule, ``q_ref_source``, which
+``reference_queue`` and the CLI's config validation both call.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 
 from .analytic import bd_stationary
 from .errors import ConfigurationError, EstimationError, OutOfRangeError
-from .policy import AdmitAllPolicy, ThresholdPolicy, make_policy
+from .policy import make_policy, parse_policy_spec
 from .sim import last_low_time, run_simulation, wasted_tokens, window_diversions
 from .stream import (EventStream, ModelParams, count_events, generate_stream,
                      replication_generators, replication_seed)
@@ -419,26 +421,34 @@ def default_warmup_time(config: ExcursionConfig) -> float:
     return max(DEFAULT_WARMUP_EVENTS / config.params.total_rate, 100.0 * config.params.window)
 
 
+def q_ref_source(policy_spec: str) -> str:
+    """Where an unset q_ref comes from: ``bd-oracle`` for threshold policies, else ``pilot-run``.
+
+    Admit-all is rejected: its queue has no stationary law in overload.
+    """
+    kind, _ = parse_policy_spec(policy_spec)
+    if kind == "admit-all":
+        raise ConfigurationError("policy `admit-all` has no stationary queue; set `q_ref`")
+    return "bd-oracle" if kind == "threshold" else "pilot-run"
+
+
 def reference_queue(params: ModelParams, policy_spec: str, seed: int = 0,
                     pilot_horizon: float = DEFAULT_PILOT_HORIZON) -> tuple[float, str]:
-    """Stationary mean-queue stand-in for the barrier's reference scale.
+    """Stationary mean-queue stand-in for the barrier's reference scale, and its source.
 
-    Threshold policies use the exact birth-death oracle; anything else gets
-    a measured pilot run, except admit-all, whose queue has no stationary
-    law in overload and is rejected.  The source tag is carried into
-    reports because the substitution (measured mean for the unknown
-    optimal mean) should stay visible.
+    The source, from ``q_ref_source``, is carried into reports because the
+    substitution (measured mean for the unknown optimal mean) should stay
+    visible.
     """
+    source = q_ref_source(policy_spec)
     policy = make_policy(policy_spec, params)
-    if isinstance(policy, ThresholdPolicy):
-        return bd_stationary(params, policy.x).mean_queue, "bd-oracle"
-    if isinstance(policy, AdmitAllPolicy):
-        raise ConfigurationError("admit-all has no stationary mean queue; give q_ref explicitly")
+    if source == "bd-oracle":
+        return bd_stationary(params, policy.x).mean_queue, source
     # the key (seed, 0, 0, 1) ends in a nonzero word, so SeedSequence's zero
     # padding makes it equal no sample key (seed, i) and no sweep key
     st = generate_stream(params, pilot_horizon + params.window, replication_seed(seed, 0, 0, 1))
     _, _, m = run_simulation(st, policy, t_end=pilot_horizon, burn_in=0.2)
-    return m.mean_queue_event, "pilot-run"
+    return m.mean_queue_event, source
 
 
 def diversion_idling_diagnostic(

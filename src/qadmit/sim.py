@@ -146,6 +146,8 @@ def run_simulation(
     if t_end is None:
         t_end = stream.horizon
     n_sim = count_events(stream, t_end)
+    if int(q0) + n_sim > np.iinfo(np.int64).max:  # each event moves the queue by at most one
+        raise ConfigurationError(f"q0={q0} plus {n_sim} events overflows the int64 queue path")
 
     path = np.empty(n_sim + 1, dtype=np.int64)
     path[0] = q0

@@ -63,6 +63,17 @@ def test_bd_closed_form_example():
     assert sol.rho == pytest.approx(1.8)
 
 
+def test_bd_rejects_a_negative_threshold():
+    with pytest.raises(ValueError, match="threshold"):
+        bd_stationary(ModelParams(0.9, 0.5), -1)
+
+
+def test_mass_below_zero_is_zero():
+    sol = bd_stationary(ModelParams(0.9, 0.5), 2)
+    assert sol.mass_at_or_below(-0.5) == 0.0
+    assert sol.mass_at_or_below(0.0) == pytest.approx(1.0 / 6.04, abs=1e-14)
+
+
 def test_bd_degenerate_threshold():
     sol = bd_stationary(ModelParams(0.9, 0.5), 0)
     assert sol.probs.tolist() == [1.0]

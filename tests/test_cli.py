@@ -257,6 +257,17 @@ def test_out_of_range_field_exits_before_the_manifest(tmp_path, capsys, flags, n
     assert not (out / "manifest.json").exists()
 
 
+def test_q0_past_2_to_62_exits_before_the_manifest(tmp_path, capsys):
+    # an int64 queue path holds q0 plus the events of any stream the memory rule admits
+    out = tmp_path / "out"
+    args = ["--p", "0.5", "--lambdas", "0.9", "--horizon", "100", "--seeds", "1",
+            "--out", str(out)]
+    assert main(["simulate", *args, "--q0", str(10**30)]) == EXIT_VALIDATION
+    assert "`q0`" in json.loads(capsys.readouterr().err.strip())["error"]
+    assert not (out / "manifest.json").exists()
+    assert config_from_mapping(dict(kind="simulate", p=0.5, lambdas=[0.9], q0=2**62)).q0 == 2**62
+
+
 def test_conserve_defaults_to_auto_policy():
     cfg = config_from_mapping(dict(kind="conserve", p=0.5, lambdas=[0.875]))
     assert cfg.policy == "auto"
@@ -707,24 +718,18 @@ def test_auto_policy_is_conserve_only():
         config_from_mapping({"kind": "simulate", "p": 0.5, "lambdas": [0.9], "policy": 3})
 
 
-def test_diagnostic_json(tmp_path):
+def test_diagnostic_json(tmp_path, monkeypatch):
+    from qadmit import excursion
+    from qadmit.cli import run_config
+
     cfg = RunConfig(
         kind="diagnostic", p=0.5, lambdas=(0.9,), window_rule="constant:1",
         policy="threshold:auto", n_samples=100, master_seed=2, k=2.0,
         epsilon=0.3, zeta=2.0, phi=1.0, per_sample_csv=True,
         out_dir=str(tmp_path / "diag"),
     )
-    # keep the run small: override the warm-up through a tiny horizon knob
-    from qadmit import excursion as exc
-
-    old = exc.DEFAULT_WARMUP_EVENTS
-    exc.DEFAULT_WARMUP_EVENTS = 500
-    try:
-        from qadmit.cli import run_config
-
-        assert run_config(cfg) == EXIT_OK
-    finally:
-        exc.DEFAULT_WARMUP_EVENTS = old
+    monkeypatch.setattr(excursion, "DEFAULT_WARMUP_EVENTS", 500)  # a short warm-up
+    assert run_config(cfg) == EXIT_OK
     payload = json.loads((tmp_path / "diag" / "diagnostic.json").read_text())
     assert payload["q_ref_source"] == "bd-oracle"
     assert payload["p_e2"]["n"] == 100

@@ -77,6 +77,18 @@ def test_run_simulation_rejects_bad_burn_in_and_q0(field, value):
         run_simulation(s, "admit-all", **{field: value})
 
 
+def test_run_simulation_rejects_a_q0_the_int64_path_cannot_hold():
+    s = hand_stream([(1.0, 1), (2.0, 1), (3.0, -1)], 4.0)
+    top = np.iinfo(np.int64).max
+    with pytest.raises(ConfigurationError, match="q0"):
+        run_simulation(s, "threshold:x=3", q0=top)  # two arrivals above x would wrap
+    with pytest.raises(ConfigurationError, match="q0"):
+        run_simulation(s, "admit-all", q0=top + 1)  # no int64 holds it
+    traj, trace, _ = run_simulation(s, "threshold:x=3", q0=top - 3)  # q0 + 3 events fits
+    assert traj.post_event_queue.tolist() == [top - 2, top - 1, top - 2]
+    assert not flow_identity_residuals(traj, trace, s).any()
+
+
 def test_run_simulation_takes_a_numpy_integer_q0():
     s = generate_stream(PARAMS, 200.0, seed=5)
     traj, trace, _ = run_simulation(s, "admit-all", q0=np.int64(2))
@@ -233,6 +245,13 @@ def test_occupancy_fraction_edges_and_hand_value():
     assert occupancy_fraction(traj, s, 1, 0.0, 4.0) == pytest.approx(0.75)
     with pytest.raises(ValueError):
         occupancy_fraction(traj, s, 1, 2.0, 2.0)
+
+
+def test_occupancy_fraction_rejects_t1_past_the_run():
+    s = hand_stream([(1.0, 1), (2.0, 1), (3.0, -1)], 4.0)
+    traj, _, _ = run_simulation(s, "admit-all", t_end=3.5)
+    with pytest.raises(OutOfRangeError):
+        occupancy_fraction(traj, s, 1, 0.0, 4.0)
 
 
 def test_occupancy_matches_stationary_mass():

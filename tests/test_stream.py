@@ -47,6 +47,21 @@ def test_stream_invariants_enforced():
         EventStream(np.array([0.0]), np.array([1]), 5.0)
 
 
+@pytest.mark.parametrize("times, marks", [
+    ([1.0, 2.0], [1]),  # one mark short
+    ([[1.0, 2.0]], [[1, -1]]),  # equal shapes, but 2-d
+])
+def test_stream_shapes_must_be_equal_and_1d(times, marks):
+    with pytest.raises(ValueError, match="1-d arrays of equal length"):
+        EventStream(np.array(times), np.array(marks), 5.0)
+
+
+@pytest.mark.parametrize("horizon", [-1.0, float("nan"), float("inf")])
+def test_stream_horizon_must_be_finite_and_nonnegative(horizon):
+    with pytest.raises(ConfigurationError, match="horizon"):
+        EventStream(np.array([], dtype=float), np.array([], dtype=np.int8), horizon)
+
+
 @pytest.mark.parametrize("form, bad", [
     (form, bad) for form in ("int64", "float", "list") for bad in (255, 257, -255, 0, 2.0)
 ] + [
@@ -291,6 +306,12 @@ def test_running_extreme_examples():
     assert running_extreme(s, 0.0, 3.0, "max") == (1, 1.0)
     with pytest.raises(ValueError):
         running_extreme(s, 0.0, 3.0, "sup")
+
+
+def test_running_extreme_rejects_a_reversed_interval():
+    s = EventStream.from_pairs([(1.0, 1), (2.0, -1), (3.0, -1)], horizon=4.0)
+    with pytest.raises(ValueError, match="t0 <= t1"):
+        running_extreme(s, 3.0, 2.0)
 
 
 def test_running_extreme_first_epoch_ties():
