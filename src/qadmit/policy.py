@@ -22,7 +22,8 @@ path)`` is the kernel that :func:`qadmit.sim.run_simulation` runs instead: it
 fills the post-event queue ``path[1:]`` of an int64 buffer whose ``path[0]``
 holds q0 and returns nothing, since the engine reads the diversions off that
 path.  Admit-all is the closed-form Lindley recursion, threshold a blocked
-clip-map scan in numpy, and windowed-drain a credit loop, block by block, over
+clip-map scan in numpy (int8 blocks for thresholds below 64, written straight
+into the path), and windowed-drain a credit loop, block by block, over
 per-event window lows from one reduceat.  The two agree decision for decision,
 which the tests pin down.
 """
@@ -78,22 +79,27 @@ def _free_walk(marks: np.ndarray, path: np.ndarray) -> np.ndarray:
     return walk
 
 
-def _clip_scan(marks: np.ndarray, q: int, x: int) -> np.ndarray:
-    """Post-event path of q -> clip(q + m, 0, x) from a start q in [0, x].
+def _clip_scan(marks: np.ndarray, q: int, x: int, out: np.ndarray) -> None:
+    """Write the path of q -> clip(q + m, 0, x) from a start q in [0, x] into out.
 
-    The path comes back in the narrow scan dtype (int16 unless x or the
-    block is large); assigning it into an int64 buffer widens it.  A
-    composition of such maps is again clip(q + a, lo, hi), with a the mark
+    A composition of such maps is again clip(q + a, lo, hi), with a the mark
     sum and lo, hi the clipped walk started from 0 and from x.  The marks
-    are cut into about sqrt(n) blocks; each block's prefix maps are built
-    for all blocks at once (one vector step per column), a short pass
-    carries q across the block starts, and one clip gives the whole path.
+    are cut into blocks of b steps, b about sqrt(n); each block's prefix maps
+    are built for all blocks at once (one vector step per column), a short
+    pass carries q across the block starts, one clip gives the whole path
+    and one transposing copy widens it into ``out``.  Every intermediate lies
+    in [-b, x + b], so for x < 64 the block is capped at 127 - x steps and
+    the scan runs in int8; otherwise it runs in int16 unless x or the block
+    is large.
     """
     n = marks.size
     b = math.isqrt(n - 1) + 1
+    if x < 64:
+        b = min(b, 127 - x)
+        dt = np.int8
+    else:
+        dt = np.int16 if x + b < 2**15 else np.int64
     nb = -(-n // b)
-    # every intermediate lies in [-b, x + b]
-    dt = np.int16 if x + b < 2**15 else np.int64
     steps = np.zeros(nb * b, dtype=np.int8)  # zero padding maps q to itself
     steps[:n] = marks
     steps = np.ascontiguousarray(steps.reshape(nb, b).T)  # row j: step j of every block
@@ -116,7 +122,10 @@ def _clip_scan(marks: np.ndarray, q: int, x: int) -> np.ndarray:
         q = min(max(q + a_end[i], lo_end[i]), hi_end[i])
     shift += np.array(starts, dtype=dt)
     np.clip(shift, bounds[:, 0], bounds[:, 1], out=shift)
-    return shift.T.reshape(-1)[:n]
+    full = n // b
+    out[: full * b].reshape(full, b)[...] = shift[:, :full].T
+    if full < nb:
+        out[full * b :] = shift[: n - full * b, full]
 
 
 def _window_end_indices(times: np.ndarray, window: float, n_sim: int) -> np.ndarray:
@@ -188,9 +197,9 @@ class ThresholdPolicy:
             free = _free_walk(marks, path)
             k = int((free == x).argmax())
             if free[k] == x and k + 1 < marks.size:
-                free[k + 1 :] = _clip_scan(marks[k + 1 :], x, x)
+                _clip_scan(marks[k + 1 :], x, x, free[k + 1 :])
         else:
-            path[1:] = _clip_scan(marks, q0, x)
+            _clip_scan(marks, q0, x, path[1:])
 
 
 class WindowedDrainPolicy:

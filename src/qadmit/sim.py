@@ -135,7 +135,8 @@ def run_simulation(
     full windows near the end.  ``burn_in`` is the fraction of leading
     events excluded from the stationary metrics.
     """
-    if not isinstance(q0, (int, np.integer)) or q0 < 0:
+    # a bool is an int to isinstance, but no queue length
+    if isinstance(q0, bool) or not isinstance(q0, (int, np.integer)) or q0 < 0:
         raise ConfigurationError(f"q0 must be an integer >= 0, got {q0!r}")
     if not 0.0 <= burn_in < 1.0:  # NaN fails too
         raise ConfigurationError(f"burn_in must be in [0, 1), got {burn_in!r}")

@@ -7,11 +7,13 @@ marks (+1 arrival, -1 token).  The cumulative mark sum between two instants
 is the net-input walk: a transient random walk whose positive drift
 ``arrival_rate - (1 - divert_budget)`` is what overloads the queue.
 
-A stream stores 17 bytes per event: float64 epochs, int8 marks and the
-int64 walk ``prefix``.  Running sums of marks belong in int64 (``prefix``
-already holds one); an int8 accumulator would wrap.  Hand-built streams
-are checked in full; ``generate_stream`` builds its streams through one
-trusted constructor that skips the checks generation already guarantees.
+A stream stores 9 bytes per event, float64 epochs and int8 marks, until
+its int64 walk ``prefix`` is first read; then 17.  The threshold and
+admit-all kernels never read it.  Running sums of marks belong in int64
+(``prefix`` holds one); an int8 accumulator would wrap.  Hand-built
+streams are checked in full; ``generate_stream`` builds its streams
+through one trusted constructor that skips the checks generation already
+guarantees, and draws the mark uniforms a cache-sized block at a time.
 
 Replication i of a run is seeded by ``replication_seed(master, i)``.
 ``replication_generators`` yields the same Generator states for a whole
@@ -96,7 +98,8 @@ class EventStream:
 
     ``times`` is float64.  ``marks`` is int8: ``marks[n]`` is +1 for an
     arrival and -1 for a service token.  ``prefix`` is int64 with
-    ``prefix[n]`` the sum of the first n marks.  Hand-built marks of any
+    ``prefix[n]`` the sum of the first n marks; it is built on first read
+    and kept, so a second read returns the same array.  Hand-built marks of any
     integer, float or list form are checked at their own dtype before they
     are narrowed, so a value such as 255 or 1.5 is rejected rather than
     wrapped or truncated; any boolean mark is rejected outright.
@@ -109,7 +112,7 @@ class EventStream:
     marks: np.ndarray
     horizon: float
     params: ModelParams | None = None
-    prefix: np.ndarray = field(init=False, repr=False)
+    _prefix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -130,7 +133,6 @@ class EventStream:
                 and any(isinstance(m, (bool, np.bool_)) for m in self.marks)):
             raise ValueError("marks must be +1 or -1")
         self.marks = marks.astype(np.int8, copy=False)
-        self._build_prefix()
 
     @classmethod
     def _generated(cls, times: np.ndarray, marks: np.ndarray, horizon: float,
@@ -146,16 +148,23 @@ class EventStream:
             raise ValueError("event times must lie in (0, horizon]")
         stream = cls.__new__(cls)
         stream.times, stream.marks, stream.horizon, stream.params = times, marks, horizon, params
-        stream._build_prefix()
+        stream._prefix = None
         return stream
 
-    def _build_prefix(self) -> None:
-        # prefix[n] = sum of the first n marks, so S over events (i, j] is
-        # prefix[j] - prefix[i]; widen first, then sum in place (a casting
-        # cumsum from int8 is about 3x slower)
-        self.prefix = np.zeros(self.marks.size + 1, dtype=np.int64)
-        self.prefix[1:] = self.marks
-        self.prefix.cumsum(out=self.prefix)
+    @property
+    def prefix(self) -> np.ndarray:
+        # a plain property: functools.cached_property takes a lock on
+        # Python 3.11 and costs about 1 us per stream
+        prefix = self._prefix
+        if prefix is None:
+            # prefix[n] = sum of the first n marks, so S over events (i, j] is
+            # prefix[j] - prefix[i]; widen first, then sum in place (a casting
+            # cumsum from int8 is about 3x slower)
+            prefix = np.zeros(self.marks.size + 1, dtype=np.int64)
+            prefix[1:] = self.marks
+            prefix.cumsum(out=prefix)
+            self._prefix = prefix
+        return prefix
 
     def __len__(self) -> int:
         return self.times.size
@@ -189,6 +198,7 @@ _POOL_SIZE = 4
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 _PCG64_MULT = (2549297995355413924 << 64) | 4865540595714422341
 SEED_BLOCK = 4096  # indices hashed per numpy pass
+_MARK_BLOCK = 2**13  # mark uniforms drawn per pass: a 64 KiB buffer
 MAX_REPLICATIONS = 1 << 32  # replication indices are hashed as uint32 words
 
 
@@ -324,8 +334,19 @@ def generate_stream(
     times = times[: times.searchsorted(horizon, side="right")]
     times = _nudge_ties(times, horizon)
 
-    # arrival indicator 0/1 as int8, mapped in place to the marks +1/-1
-    marks = (rng.random(times.size) < params.arrival_fraction).view(np.int8)
+    # arrival indicator 0/1 as int8, mapped in place to the marks +1/-1;
+    # a long stream draws its uniforms a block at a time into one buffer,
+    # which gives the same numbers as one whole draw
+    n, frac = times.size, params.arrival_fraction
+    if n <= _MARK_BLOCK:
+        marks = (rng.random(n) < frac).view(np.int8)
+    else:
+        marks = np.empty(n, dtype=np.int8)
+        arrivals = marks.view(np.bool_)
+        uniforms = np.empty(_MARK_BLOCK)
+        for a in range(0, n, _MARK_BLOCK):
+            part = uniforms[: min(n - a, _MARK_BLOCK)]
+            np.less(rng.random(out=part), frac, out=arrivals[a : a + part.size])
     marks += marks
     marks -= 1
     return EventStream._generated(times, marks, float(horizon), params)

@@ -70,6 +70,7 @@ def test_unknown_policy_handle():
 
 @pytest.mark.parametrize("field, value", [
     ("burn_in", -0.5), ("burn_in", 1.0), ("burn_in", float("nan")), ("q0", 1.5),
+    ("q0", True), ("q0", np.bool_(True)),
 ])
 def test_run_simulation_rejects_bad_burn_in_and_q0(field, value):
     s = generate_stream(PARAMS, 200.0, seed=5)
@@ -446,6 +447,34 @@ def test_int8_marks_widen_before_the_walk_is_summed():
     assert traj.post_event_queue.max() == 303 and traj.post_event_queue[-1] == 0
 
 
+def _scan_lengths(x):
+    # the scan's block length is isqrt(n - 1) + 1, capped at 127 - x for
+    # x < 64 so that it runs in int8; x >= 64 runs in int16.  Take lengths
+    # around one block and around m whole blocks of the block length b in
+    # force there: a short last block, none, or one of a single step
+    if x < 64:
+        b = 127 - x
+        m = b + 2  # isqrt(m * b - 2) >= b: the cap, not sqrt(n), sets b
+    else:
+        b = m = 40  # isqrt(n - 1) + 1 == 40 for n in (39**2, 40**2]
+    return sorted({1, b - 1, b, b + 1, m * b - 1, m * b, m * b + 1})
+
+
+@pytest.mark.parametrize("x", [0, 1, 4, 62, 63, 64, 126, 127, 300])
+def test_threshold_scan_block_geometry(x):
+    rng = np.random.default_rng(x)
+    for n in _scan_lengths(x):
+        # the walk climbs to x and then hugs it, so both clip bounds act
+        marks = np.where(rng.random(n) < 0.55, 1, -1)
+        for q0 in (0, x):
+            _assert_threshold_matches_generic(marks, q0, x)
+        # from x, a block of arrivals takes the scan to x + b, the top of its dtype
+        _assert_threshold_matches_generic([1] * n, x, x)
+        # from q0 = x + 2 two tokens bring the queue to x, and the scan runs
+        # over the n marks after them
+        _assert_threshold_matches_generic([-1, -1, *marks], x + 2, x)
+
+
 def test_threshold_scan_wide_dtype():
     # x + block length >= 2**15 forces int64 intermediates
     big = 2**15
@@ -690,15 +719,17 @@ def test_pre_and_post_are_one_int64_path(policy, q0):
 
 
 def test_threshold_run_memory_per_event():
-    # stream (8 + 1 + 8 B/event) plus one int64 path buffer and the
-    # transient scan and metric arrays; fresh arrays per step took ~71
+    # stream (8 + 1 B/event; the kernel never reads prefix) plus one int64
+    # path buffer and the transient scan and metric arrays, ~25.5 B/event;
+    # fresh arrays per step took ~71, an eager prefix and an int16 scan ~34
     params = ModelParams(1 - 2**-5, 0.5)
     run_simulation(generate_stream(params, 100.0, seed=0), "threshold:auto")  # warm caches
-    tracemalloc.start()
-    try:
-        s = generate_stream(params, 1e5, seed=3)
-        run_simulation(s, "threshold:auto")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / len(s) <= 48.0
+    for horizon in (1e5, 1e6):
+        tracemalloc.start()
+        try:
+            s = generate_stream(params, horizon, seed=3)
+            run_simulation(s, "threshold:auto")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(s) <= 28.0, horizon
