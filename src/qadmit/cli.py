@@ -70,7 +70,11 @@ EXIT_VALIDATION = 3
 
 @dataclass
 class RunConfig:
-    """One experiment's full description; JSON keys mirror the field names."""
+    """One experiment's full description; JSON keys mirror the field names.
+
+    ``policy`` defaults to ``threshold:auto``; a ``conserve`` config from JSON or
+    flags defaults to ``auto``, which a RunConfig built in code must pass itself.
+    """
 
     kind: str
     p: float
@@ -233,10 +237,10 @@ def validate_config(cfg: RunConfig) -> None:
                       "`horizon` or `workers`")
 
 
-# Peak bytes per stream event of one simulated cell, the bound the tests hold
-# threshold:auto and windowed-drain to: tracemalloc read 34 and 43 (horizon
-# 1e5) to 33 (1e6) at lambda = 1 - 2**-5; the windowed-drain kernel's per-block
-# term shows at short horizons.  Monte Carlo streams count at the same rate.
+# Peak bytes per stream event of one simulated cell: the bound the tests hold
+# windowed-drain to, whose peak sets it (tracemalloc: 43 at horizon 1e5 to 33 at
+# 1e6, lambda = 1 - 2**-5); threshold:auto reads 25.8 and 25.3 (tested bound 28).
+# Monte Carlo streams count at the same rate.
 PEAK_BYTES_PER_EVENT = 48
 
 

@@ -21,11 +21,11 @@ arrival at a time, as the generic engine path consults it.  ``simulate(stream,
 path)`` is the kernel that :func:`qadmit.sim.run_simulation` runs instead: it
 fills the post-event queue ``path[1:]`` of an int64 buffer whose ``path[0]``
 holds q0 and returns nothing, since the engine reads the diversions off that
-path.  Admit-all is the closed-form Lindley recursion, threshold a blocked
-clip-map scan in numpy (int8 blocks for thresholds below 64, written straight
-into the path), and windowed-drain a credit loop, block by block, over
-per-event window lows from one reduceat.  The two agree decision for decision,
-which the tests pin down.
+path.  A kernel runs from the state ``reset()`` leaves, as the engine resets
+the policy first.  Admit-all is the closed-form Lindley recursion, threshold a
+blocked clip-map scan in numpy, and windowed-drain a credit loop, block by
+block, over per-event window lows from one reduceat.  The two agree decision
+for decision, which the tests pin down.
 """
 
 from __future__ import annotations
@@ -252,7 +252,8 @@ class WindowedDrainPolicy:
         return True
 
     def simulate(self, stream: EventStream, path: np.ndarray) -> None:
-        # no list or array spans more than one block; suffix views index from its start
+        # no list or array spans more than one block; suffix views index from its start.
+        # Every arrival comes after last_t: reset() sets it to 0, and epochs rise from > 0
         n_sim = path.size - 1
         times, window = stream.times, self.params.window
         q = int(path[0])
@@ -264,9 +265,8 @@ class WindowedDrainPolicy:
             qs = []
             for mark, t, low in zip(stream.marks[a:b].tolist(), times[a:b].tolist(), lows):
                 if mark == 1:
-                    if t > last_t:
-                        credit += rate * (t - last_t)
-                        last_t = t
+                    credit += rate * (t - last_t)
+                    last_t = t
                     if credit >= 1.0 and q + low >= 1:
                         credit -= 1.0
                     else:

@@ -67,12 +67,9 @@ class QueueTrajectory:
 
 @dataclass
 class DecisionTrace:
-    """Per-event diversion indicators H(n) aligned with the stream."""
+    """Per-event diversion indicators H(n), int8, aligned with the stream."""
 
     decisions: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.decisions = np.asarray(self.decisions, dtype=np.int8)
 
     def count(self) -> int:
         return int(self.decisions.sum())
@@ -173,9 +170,8 @@ def run_simulation(
 def _compute_metrics(
     stream: EventStream, trajectory: QueueTrajectory, trace, burn_in: float
 ) -> SimMetrics:
+    """Past the empty-run return n >= 1, so n_used >= 1 (burn_in < 1) and t_end > t_start >= 0."""
     pre = trajectory.pre_event_queue
-    post = trajectory.post_event_queue
-    hs = trace.decisions
     n = pre.size
     t_end = trajectory.t_end
     wasted_count = int(wasted_tokens(trajectory, stream).sum())
@@ -201,26 +197,25 @@ def _compute_metrics(
     # t_end, built in one buffer; the same products in the same order as
     # diff() of the bounds times the segment values
     dts = np.empty(n_used + 1)
-    if n_used:
-        dts[0] = times[n_burn] - t_start
-        np.subtract(times[n_burn + 1 : n], times[n_burn : n - 1], out=dts[1:n_used])
+    dts[0] = times[n_burn] - t_start
+    np.subtract(times[n_burn + 1 : n], times[n_burn : n - 1], out=dts[1:n_used])
     dts[n_used] = t_end - times[n - 1]
-    dts[0] *= post[n_burn - 1] if n_burn >= 1 else trajectory.initial
-    dts[1:] *= post[n_burn:]
+    dts[0] *= pre[n_burn]  # post[n_burn - 1], or initial when nothing is burned
+    dts[1:] *= trajectory.post_event_queue[n_burn:]
     mean_time = float(dts.sum() / (t_end - t_start))
 
     if stream.params is not None:
         event_rate = stream.params.total_rate
     else:
-        event_rate = n_used / (t_end - t_start) if t_end > t_start else 0.0
-    diversion_rate = event_rate * float(hs[n_burn:].sum()) / n_used if n_used else 0.0
+        event_rate = n_used / (t_end - t_start)
+    diversion_rate = event_rate * float(trace.decisions[n_burn:].sum()) / n_used
 
     return SimMetrics(
         mean_queue_event=mean_event,
         mean_queue_time=mean_time,
         diversion_rate=diversion_rate,
         wasted_count=wasted_count,
-        wasted_rate=wasted_count / t_end if t_end > 0 else 0.0,
+        wasted_rate=wasted_count / t_end,
         n_events=n,
         n_burned=n_burn,
     )

@@ -396,11 +396,11 @@ def test_generic_windows_equal_the_per_element_build(window):
     assert max(len(win) for _, win in rec.seen) > (1 if window > 0 else 0)
 
 
-def _assert_threshold_matches_generic(marks, q0, x):
-    times = np.arange(1.0, len(marks) + 1.0)
-    s = EventStream(times, np.asarray(marks), horizon=len(marks) + 1.0)
-    tf, hf, _ = run_simulation(s, ThresholdPolicy(x), q0=q0)
-    tg, hg, _ = run_simulation(s, _Delegating(ThresholdPolicy(x)), q0=q0)
+def _assert_kernel_matches_generic(s, fast_policy, slow_policy, q0, t_end=None):
+    """Run ``fast_policy``'s kernel and ``slow_policy`` through ``decide()``; return the first."""
+    fast_run = run_simulation(s, fast_policy, q0=q0, t_end=t_end)
+    tf, hf, _ = fast_run
+    tg, hg, _ = run_simulation(s, _Delegating(slow_policy), q0=q0, t_end=t_end)
     for fast, generic in (
         (hf.decisions, hg.decisions),
         (tf.pre_event_queue, tg.pre_event_queue),
@@ -408,6 +408,33 @@ def _assert_threshold_matches_generic(marks, q0, x):
     ):
         assert fast.dtype == generic.dtype
         assert np.array_equal(fast, generic)
+    return fast_run
+
+
+def _unit_spaced(marks):
+    return EventStream(np.arange(1.0, len(marks) + 1.0), np.asarray(marks), len(marks) + 1.0)
+
+
+def _assert_threshold_matches_generic(marks, q0, x):
+    _assert_kernel_matches_generic(_unit_spaced(marks), ThresholdPolicy(x), ThresholdPolicy(x), q0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    marks=st.lists(st.sampled_from([1, -1]), min_size=1, max_size=400),
+    q0=st.integers(0, 12),
+)
+def test_admit_all_kernel_matches_generic_property(marks, q0):
+    _assert_kernel_matches_generic(_unit_spaced(marks), AdmitAllPolicy(), AdmitAllPolicy(), q0)
+
+
+@pytest.mark.parametrize("q0", [1, 5, 20])
+def test_admit_all_kernel_matches_generic_on_generated_streams(q0):
+    # a drift of 0.01 per unit time: the queue climbs from q0 only slowly, and empties
+    s = generate_stream(ModelParams(0.51, 0.5), 1500.0, seed=q0)
+    _, trace, metrics = _assert_kernel_matches_generic(s, AdmitAllPolicy(), AdmitAllPolicy(), q0)
+    assert not trace.decisions.any()
+    assert metrics.wasted_count > 0  # the queue empties, so the reflection acts
 
 
 @settings(max_examples=150, deadline=None)
@@ -486,15 +513,7 @@ def test_threshold_scan_wide_dtype():
 
 def _assert_drain_matches_generic(s, params, q0, t_end):
     fast_policy, slow_policy = WindowedDrainPolicy(params), WindowedDrainPolicy(params)
-    tf, hf, _ = run_simulation(s, fast_policy, q0=q0, t_end=t_end)
-    tg, hg, _ = run_simulation(s, _Delegating(slow_policy), q0=q0, t_end=t_end)
-    for fast, generic in (
-        (hf.decisions, hg.decisions),
-        (tf.pre_event_queue, tg.pre_event_queue),
-        (tf.post_event_queue, tg.post_event_queue),
-    ):
-        assert fast.dtype == generic.dtype
-        assert np.array_equal(fast, generic)
+    _, hf, _ = _assert_kernel_matches_generic(s, fast_policy, slow_policy, q0, t_end)
     # the kernel leaves the budget where decide() leaves it
     assert fast_policy.credit == slow_policy.credit
     assert fast_policy.last_time == slow_policy.last_time
@@ -669,6 +688,7 @@ def _assert_metrics_match_oracle(s, policy, q0, t_end, burn_in):
     want = _oracle_metrics(s, traj, trace, burn_in)
     for f in dataclasses.fields(SimMetrics):
         assert getattr(m, f.name) == getattr(want, f.name), f.name
+    return m
 
 
 @settings(max_examples=150, deadline=None)
@@ -696,6 +716,24 @@ def test_metrics_match_oracle_on_generated_streams(burn_in, q0):
     _assert_metrics_match_oracle(s, "threshold:auto", q0, 5000.0, burn_in)
     _assert_metrics_match_oracle(s, "admit-all", q0, float(s.times[-1]), burn_in)
     _assert_metrics_match_oracle(s, "threshold:x=2", q0, float(s.times[0]), burn_in)
+
+
+# the largest burn-in below 1 still leaves one used event, the premise of the
+# metrics' division by n_used and by t_end - t_start
+@pytest.mark.parametrize("marks", [
+    [1], [-1, 1], [1, 1, -1], [1, -1, 1, 1, -1, -1, -1, 1, 1, 1, -1] * 3,
+])
+@pytest.mark.parametrize("params", [None, ModelParams(0.9, 0.5)])
+@pytest.mark.parametrize("past_end", [0.0, 1.5])
+def test_metrics_at_the_largest_burn_in(marks, params, past_end):
+    n = len(marks)
+    times = np.cumsum(np.linspace(0.3, 1.7, n))
+    t_end = float(times[-1]) + past_end
+    s = EventStream(times, marks, t_end, params)
+    burn_in = math.nextafter(1.0, 0.0)
+    for policy, q0 in (("admit-all", 0), ("threshold:x=1", 2)):
+        m = _assert_metrics_match_oracle(s, policy, q0, t_end, burn_in)
+        assert m.n_events == n and m.n_burned == n - 1
 
 
 @pytest.mark.parametrize("policy, q0", [

@@ -7,14 +7,21 @@ Runs a fixed list of small CLI configs, covering all six kinds, once with
 which records a timestamp, is left out).  Then it runs each demo and
 prints one ``<sha256>  <demo>:stdout`` line, and last the lines of the
 configs added since (``LATER_CONFIGS``), so that an older printout stays
-a prefix of a newer one.  Diff the printout of two checkouts to see which
-outputs a change moves:
+a prefix of a newer one.
 
-    python3 tools/output_digests.py > digests.txt
+The printout is recorded in ``tools/output_digests.txt`` (numpy 2.4.6 on
+x86-64), and CI diffs a fresh printout against it, so a change that moves
+an output byte shows as a changed line:
+
+    python3 tools/output_digests.py | diff tools/output_digests.txt -
+
+A change that moves bytes on purpose re-records the file in the same
+commit (``python3 tools/output_digests.py > tools/output_digests.txt``)
+and lists the moved lines in CHANGES.md.
 
 Exits 1 if any config's files differ between the two worker counts or a
 demo fails.  Uses only the standard library and the package in ``src/``;
-about 7 s on 2 vCPUs.
+about 5 s on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -78,17 +85,22 @@ def _digests(out_dir: Path) -> dict[str, str]:
             for f in sorted(out_dir.rglob("*")) if f.is_file() and f.name != "manifest.json"}
 
 
+def config_digests(tmp: Path, name: str, args: str, workers: int) -> dict[str, str] | None:
+    """Digest of each output file of one config, or None if the run failed."""
+    out = tmp / f"{name}_w{workers}"
+    code = cli.main(args.split() + ["--workers", str(workers), "--out", str(out)])
+    if code != cli.EXIT_OK:
+        print(f"{name}: exit {code} at --workers {workers}", file=sys.stderr)
+        return None
+    return _digests(out)
+
+
 def _run_configs(tmp: Path, configs: list[tuple[str, str]]) -> bool:
     same = True
     for name, args in configs:
-        runs = []
-        for workers in (1, 2):
-            out = tmp / f"{name}_w{workers}"
-            code = cli.main(args.split() + ["--workers", str(workers), "--out", str(out)])
-            if code != cli.EXIT_OK:
-                print(f"{name}: exit {code} at --workers {workers}", file=sys.stderr)
-                return False
-            runs.append(_digests(out))
+        runs = [config_digests(tmp, name, args, workers) for workers in (1, 2)]
+        if None in runs:
+            return False
         for file, digest in runs[0].items():
             print(f"{digest}  {name}/{file}")
         if runs[0] != runs[1]:
