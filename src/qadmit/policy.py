@@ -22,15 +22,16 @@ path)`` is the kernel that :func:`qadmit.sim.run_simulation` runs instead: it
 fills the post-event queue ``path[1:]`` of an int64 buffer whose ``path[0]``
 holds q0 and returns nothing, since the engine reads the diversions off that
 path.  A kernel runs from the state ``reset()`` leaves, as the engine resets
-the policy first.  Admit-all is the closed-form Lindley recursion, threshold a
-blocked clip-map scan in numpy, and windowed-drain a credit loop, block by
-block, over per-event window lows from one reduceat.  The two agree decision
-for decision, which the tests pin down.
+the policy first.  Admit-all is the closed-form Lindley recursion.  Threshold
+walks blocks of ~cbrt(n) marks in lockstep, composes each block into one map
+q -> clip(q + a, lo, hi) and carries q across the block starts with a
+Hillis-Steele scan of those maps in log2 passes.  Windowed-drain is a credit
+loop, block by block, over per-event window lows from one reduceat.  The two
+agree decision for decision, which the tests pin down.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,53 +80,85 @@ def _free_walk(marks: np.ndarray, path: np.ndarray) -> np.ndarray:
     return walk
 
 
+def _scan_block_length(n: int) -> int:
+    """Block length of the threshold scan over n marks: about cbrt(n), from 2 to 32.
+
+    Each step of a block costs three numpy calls and each scan pass two,
+    so short blocks pay off while calls dominate; past ~3e4 marks the
+    element work dominates and the block stays at 32.
+    """
+    return min(32, max(2, round(n ** (1 / 3))))
+
+
 def _clip_scan(marks: np.ndarray, q: int, x: int, out: np.ndarray) -> None:
     """Write the path of q -> clip(q + m, 0, x) from a start q in [0, x] into out.
 
-    A composition of such maps is again clip(q + a, lo, hi), with a the mark
-    sum and lo, hi the clipped walk started from 0 and from x.  The marks
-    are cut into blocks of b steps, b about sqrt(n); each block's prefix maps
-    are built for all blocks at once (one vector step per column), a short
-    pass carries q across the block starts, one clip gives the whole path
-    and one transposing copy widens it into ``out``.  Every intermediate lies
-    in [-b, x + b], so for x < 64 the block is capped at 127 - x steps and
-    the scan runs in int8; otherwise it runs in int16 unless x or the block
-    is large.
+    The marks are cut into nb blocks of b steps (:func:`_scan_block_length`,
+    the last block padded with zero steps, which map q to itself).  One
+    lockstep loop over the b steps walks every block at once in three rows:
+    the free walk and the walks clipped to [0, x] from 0 and from x.  Their
+    ends a, lo and hi give the block's map q -> clip(q + a, lo, hi), and such
+    maps compose exactly: (a1, lo1, hi1) then (a2, lo2, hi2) is
+    (a1 + a2, clip(lo1 + a2, lo2, hi2), clip(hi1 + a2, lo2, hi2)).
+
+    The carry across block starts takes the a's out first.  Measured from
+    the free walk S at each block start, block i is the pure clip to
+    [lo - S_{i+1}, hi - S_{i+1}], and pure clips (L1, H1) then (L2, H2) compose
+    to (clip(L1, L2, H2), clip(H1, L2, H2)).  A Hillis-Steele inclusive scan
+    over [the constant map to q, block 0, ..., block nb - 2], whose pass d
+    composes every map with the one d before it, leaves every block start
+    in ceil(log2 nb) passes of one maximum and one minimum.  Within a block
+    the path is then clip(start + free walk, walk from 0, walk from x), and
+    one transposing copy widens it into ``out``.
+
+    The walks and that last clip stay in [-b, x + b]: int8 when x + b < 2**7,
+    else int16 below 2**15, else int64.  The scan's values lie in
+    [-n, x + n], int32 unless that reaches 2**31.
     """
     n = marks.size
-    b = math.isqrt(n - 1) + 1
-    if x < 64:
-        b = min(b, 127 - x)
-        dt = np.int8
-    else:
-        dt = np.int16 if x + b < 2**15 else np.int64
+    b = _scan_block_length(n)
+    dt = np.int8 if x + b < 2**7 else np.int16 if x + b < 2**15 else np.int64
     nb = -(-n // b)
-    steps = np.zeros(nb * b, dtype=np.int8)  # zero padding maps q to itself
-    steps[:n] = marks
-    steps = np.ascontiguousarray(steps.reshape(nb, b).T)  # row j: step j of every block
-    shift = np.cumsum(steps, axis=0, dtype=dt)
-    bounds = np.empty((b, 2, nb), dtype=dt)  # [:, 0] walk from 0, [:, 1] walk from x
-    cur = np.zeros((2, nb), dtype=dt)
-    cur[1] = x
-    for j in range(b):
-        row = bounds[j]
-        np.add(cur, steps[j], out=row)
-        np.maximum(row, 0, out=row)
-        np.minimum(row, x, out=row)
-        cur = row
-    a_end = shift[-1].tolist()
-    lo_end = bounds[-1, 0].tolist()
-    hi_end = bounds[-1, 1].tolist()
-    starts = [0] * nb
-    for i in range(nb):
-        starts[i] = q
-        q = min(max(q + a_end[i], lo_end[i]), hi_end[i])
-    shift += np.array(starts, dtype=dt)
-    np.clip(shift, bounds[:, 0], bounds[:, 1], out=shift)
     full = n // b
-    out[: full * b].reshape(full, b)[...] = shift[:, :full].T
+    steps = np.zeros((b, nb), dtype=dt)  # row j: step j of every block
+    steps[:, :full] = marks[: full * b].reshape(full, b).T
     if full < nb:
-        out[full * b :] = shift[: n - full * b, full]
+        steps[: n - full * b, full] = marks[full * b :]
+    # numpy's max/min with a scalar operand run a slow loop (int8: 0.56-1.2 ns
+    # per element under numpy 2.4.6, 0.04-0.17 with a same-shape array)
+    lims = np.empty((6, nb), dtype=dt)
+    lims.T[...] = (-b, 0, 0, b, x, x)
+    floor, ceil = lims[:3], lims[3:]
+    walks = np.empty((b + 1, 3, nb), dtype=dt)  # step j: free walk, from 0, from x
+    walks[0].T[...] = (0, 0, x)
+    cur = walks[0]
+    for row, step in zip(walks[1:], steps):
+        np.add(cur, step, out=row)
+        np.maximum(row, floor, out=row)
+        np.minimum(row, ceil, out=row)
+        cur = row
+
+    wide = np.int32 if n + x < 2**31 else np.int64
+    starts = np.zeros(nb, dtype=wide)  # S at each block start, then the queue there
+    np.add.accumulate(cur[0, :-1], dtype=wide, out=starts[1:])
+    bounds = np.empty((2, nb), dtype=wide)  # rows L and H of the maps being scanned
+    bounds[:, 0] = q
+    np.subtract(cur[1:, :-1], starts[1:], out=bounds[:, 1:])
+    d = 1
+    while d < nb:
+        composed = np.maximum(bounds[:, :-d], bounds[0, d:])
+        np.minimum(composed, bounds[1, d:], out=composed)
+        bounds[:, d:] = composed
+        d *= 2
+    starts += bounds[0]
+
+    path = walks[1:, 0]
+    path += starts.astype(dt)
+    np.maximum(path, walks[1:, 1], out=path)
+    np.minimum(path, walks[1:, 2], out=path)
+    out[: full * b].reshape(full, b)[...] = path[:, :full].T
+    if full < nb:
+        out[full * b :] = path[: n - full * b, full]
 
 
 def _window_end_indices(times: np.ndarray, window: float, n_sim: int) -> np.ndarray:

@@ -72,7 +72,7 @@ class DecisionTrace:
     decisions: np.ndarray
 
     def count(self) -> int:
-        return int(self.decisions.sum())
+        return int(np.count_nonzero(self.decisions))
 
 
 @dataclass
@@ -174,7 +174,7 @@ def _compute_metrics(
     pre = trajectory.pre_event_queue
     n = pre.size
     t_end = trajectory.t_end
-    wasted_count = int(wasted_tokens(trajectory, stream).sum())
+    wasted_count = int(np.count_nonzero(wasted_tokens(trajectory, stream)))
 
     if n == 0:
         return SimMetrics(
@@ -191,7 +191,13 @@ def _compute_metrics(
     n_used = n - n_burn
     times = stream.times
     t_start = float(times[n_burn - 1]) if n_burn >= 1 else 0.0
-    mean_event = float(pre[n_burn:].mean())
+    # the float .mean() gives: below 2**53 its float64 partial sums of the
+    # int64 path are exact, and so is the int64 sum; past that .mean() rounds
+    # and the int64 sum could wrap
+    if n_used * (int(trajectory.initial) + n) < 2**53:
+        mean_event = int(pre[n_burn:].sum()) / n_used
+    else:
+        mean_event = float(pre[n_burn:].mean())
 
     # queue-weighted segment lengths between t_start, the used epochs and
     # t_end, built in one buffer; the same products in the same order as
@@ -208,7 +214,7 @@ def _compute_metrics(
         event_rate = stream.params.total_rate
     else:
         event_rate = n_used / (t_end - t_start)
-    diversion_rate = event_rate * float(trace.decisions[n_burn:].sum()) / n_used
+    diversion_rate = event_rate * int(np.count_nonzero(trace.decisions[n_burn:])) / n_used
 
     return SimMetrics(
         mean_queue_event=mean_event,

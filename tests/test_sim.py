@@ -447,14 +447,52 @@ def test_threshold_scan_matches_generic_property(marks, q0, x):
     _assert_threshold_matches_generic(marks, q0, x)
 
 
-# the scan cuts n events into blocks of isqrt(n - 1) + 1: perfect squares
-# fill whole blocks, their neighbours leave a short last block or none
+def _block_geometry(n):
+    b = policy_module._scan_block_length(n)
+    return b, -(-n // b)
+
+
+def _lengths_with_block_counts(counts):
+    # for each block count nb, the n up to 4e4 with that count whose last
+    # block is whole, a single step, or one step short of whole
+    found = {}
+    for n in range(1, 40001):
+        b, nb = _block_geometry(n)
+        if nb in counts and n % b in (0, 1, b - 1):
+            found.setdefault(nb, []).append(n)
+    return found
+
+
+# nb = 1 runs no scan pass; nb = 2**k ends on a pass that covers half the
+# maps, nb = 2**k + 1 on one that covers one; each with every last-block shape
+_SCAN_COUNTS = (1, 2, 3, 4, 5, 16, 17, 64, 65, 256, 257, 1024, 1025)
+_SCAN_CASES = _lengths_with_block_counts(_SCAN_COUNTS)
+
+
+def test_scan_block_geometry_cases_cover_every_count():
+    assert sorted(_SCAN_CASES) == sorted(_SCAN_COUNTS)
+    # the block length grows as n**(1/3) from 2 and stops at 32
+    assert [policy_module._scan_block_length(n) for n in (1, 7, 50, 500, 29791, 10**7)] == [
+        2, 2, 4, 8, 31, 32]
+
+
+# n = 1 to 5 make one to three blocks of 2; 15 makes 8 blocks of 2 whose last
+# is a single step; 16 and 17 make 6 blocks of 3, and 1023 to 1025 103 of 10
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 15, 16, 17, 1023, 1024, 1025])
 @pytest.mark.parametrize("x, q0", [(0, 0), (0, 3), (2, 0), (3, 3), (2, 9)])
 def test_threshold_scan_block_lengths(n, x, q0):
     rng = np.random.default_rng(n * 100 + x * 10 + q0)
     marks = np.where(rng.random(n) < 0.55, 1, -1)
     _assert_threshold_matches_generic(marks, q0, x)
+
+
+@pytest.mark.parametrize("nb", _SCAN_COUNTS)
+@pytest.mark.parametrize("x, q0", [(0, 0), (0, 3), (2, 0), (3, 3), (2, 9)])
+def test_threshold_scan_block_counts(nb, x, q0):
+    rng = np.random.default_rng(nb * 100 + x * 10 + q0)
+    for n in _SCAN_CASES[nb]:
+        marks = np.where(rng.random(n) < 0.55, 1, -1)
+        _assert_threshold_matches_generic(marks, q0, x)
 
 
 def test_threshold_scan_above_x_reaching_and_never_reaching():
@@ -474,23 +512,22 @@ def test_int8_marks_widen_before_the_walk_is_summed():
     assert traj.post_event_queue.max() == 303 and traj.post_event_queue[-1] == 0
 
 
-def _scan_lengths(x):
-    # the scan's block length is isqrt(n - 1) + 1, capped at 127 - x for
-    # x < 64 so that it runs in int8; x >= 64 runs in int16.  Take lengths
-    # around one block and around m whole blocks of the block length b in
-    # force there: a short last block, none, or one of a single step
-    if x < 64:
-        b = 127 - x
-        m = b + 2  # isqrt(m * b - 2) >= b: the cap, not sqrt(n), sets b
-    else:
-        b = m = 40  # isqrt(n - 1) + 1 == 40 for n in (39**2, 40**2]
-    return sorted({1, b - 1, b, b + 1, m * b - 1, m * b, m * b + 1})
+def _scan_lengths():
+    # one block (n <= 2), then around whole blocks at two block lengths
+    # (4 and 14): a short last block, none, or one of a single step
+    lengths = {1, 2, 3}
+    for n0 in (50, 3000):
+        b, _ = _block_geometry(n0)
+        m = n0 // b
+        lengths |= {m * b - 1, m * b, m * b + 1}
+    assert {_block_geometry(n)[0] for n in lengths} == {2, 4, 14}
+    return sorted(lengths)
 
 
-@pytest.mark.parametrize("x", [0, 1, 4, 62, 63, 64, 126, 127, 300])
+@pytest.mark.parametrize("x", [0, 1, 4, 62, 63, 64, 94, 95, 96, 126, 127, 300])
 def test_threshold_scan_block_geometry(x):
     rng = np.random.default_rng(x)
-    for n in _scan_lengths(x):
+    for n in _scan_lengths():
         # the walk climbs to x and then hugs it, so both clip bounds act
         marks = np.where(rng.random(n) < 0.55, 1, -1)
         for q0 in (0, x):
@@ -502,6 +539,21 @@ def test_threshold_scan_block_geometry(x):
         _assert_threshold_matches_generic([-1, -1, *marks], x + 2, x)
 
 
+# x + b just below and at each dtype edge: 2**7 ends int8, 2**15 int16
+@pytest.mark.parametrize("edge", [2**7 - 1, 2**7, 2**15 - 1, 2**15])
+@pytest.mark.parametrize("n", [9, 50, 500, 3000, 31256])  # b = 2, 4, 8, 14, 32
+def test_threshold_scan_dtype_edges(edge, n):
+    b, _ = _block_geometry(n)
+    x = edge - b
+    rng = np.random.default_rng(edge + n)
+    marks = np.where(rng.random(n) < 0.5, 1, -1)
+    # arrivals from x lift the free walk plus start to x + b = edge; tokens
+    # from 0 sink the free walk to -b; the q0 > x prefix reaches x first
+    for stream_marks, q0 in (([1] * n, x), ([-1] * n, 0), (marks, x), (marks, 0),
+                             ([1] * b + [-1] * (n + b), x), ([-1, -1, *marks], x + 2)):
+        _assert_threshold_matches_generic(stream_marks, q0, x)
+
+
 def test_threshold_scan_wide_dtype():
     # x + block length >= 2**15 forces int64 intermediates
     big = 2**15
@@ -509,6 +561,34 @@ def test_threshold_scan_wide_dtype():
     _assert_threshold_matches_generic(marks, q0=big - 4, x=big - 3)
     _assert_threshold_matches_generic(marks, q0=big + 2, x=big)
     _assert_threshold_matches_generic([-1, -1, -1, 1, 1], q0=big + 3, x=big)
+
+
+def _python_clip_path(marks, q, x):
+    path = []
+    for m in marks:
+        q = min(max(q + m, 0), x)
+        path.append(q)
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 5000),
+    x=st.integers(0, 300),
+    q=st.integers(0, 300),
+    p=st.sampled_from([0.3, 0.5, 0.55, 0.8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=5000, x=300, q=150, p=0.8, seed=0)
+@example(n=4097, x=0, q=0, p=0.5, seed=1)
+def test_clip_scan_matches_a_python_loop(n, x, q, p, seed):
+    # thousands of marks take the scan through up to 9 passes, well past
+    # the decide() comparisons above
+    q = min(q, x)
+    marks = np.where(np.random.default_rng(seed).random(n) < p, 1, -1).astype(np.int8)
+    out = np.empty(n, dtype=np.int64)
+    policy_module._clip_scan(marks, q, x, out)
+    assert out.tolist() == _python_clip_path(marks.tolist(), q, x)
 
 
 def _assert_drain_matches_generic(s, params, q0, t_end):
@@ -734,6 +814,34 @@ def test_metrics_at_the_largest_burn_in(marks, params, past_end):
     for policy, q0 in (("admit-all", 0), ("threshold:x=1", 2)):
         m = _assert_metrics_match_oracle(s, policy, q0, t_end, burn_in)
         assert m.n_events == n and m.n_burned == n - 1
+
+
+@pytest.mark.parametrize("burn_in", [0.0, 0.1, 0.5])
+@pytest.mark.parametrize("policy", ["admit-all", "threshold:x=3", "threshold:auto",
+                                    "windowed-drain"])
+def test_integer_reductions_give_the_float_formulas(policy, burn_in):
+    # the metrics count and sum the int path exactly; they must give the
+    # floats of the float64 mean and sum they replace, to the last bit
+    params = ModelParams(0.9375, 0.5, window=4.0)
+    for seed, q0 in ((1, 0), (2, 7)):
+        s = generate_stream(params, 3000.0 + params.window, seed=seed)
+        traj, trace, m = run_simulation(s, policy, q0=q0, t_end=3000.0, burn_in=burn_in)
+        pre, h = traj.pre_event_queue, trace.decisions
+        n_burn = int(burn_in * pre.size)
+        n_used = pre.size - n_burn
+        assert m.mean_queue_event.hex() == float(pre[n_burn:].mean()).hex()
+        want = params.total_rate * float(h[n_burn:].sum()) / n_used
+        assert m.diversion_rate.hex() == want.hex()
+        assert type(trace.count()) is int and trace.count() == int(h.sum())
+        assert type(m.wasted_count) is int
+
+
+def test_event_mean_of_a_path_past_2_to_the_53():
+    # the int64 sum of this path would wrap; the mean stays the float64 one
+    s = hand_stream([(1.0, 1), (2.0, 1), (3.0, -1)], 4.0)
+    top = np.iinfo(np.int64).max
+    traj, _, m = run_simulation(s, "threshold:x=3", q0=top - 3, burn_in=0.0)
+    assert m.mean_queue_event == float(traj.pre_event_queue.mean()) > 2.0**62
 
 
 @pytest.mark.parametrize("policy, q0", [
