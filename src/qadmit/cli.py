@@ -7,9 +7,9 @@ writes its run directory.  Each kind is a subcommand taking
 ``--config <json>`` plus one flag per field, named after it (``--out`` for
 ``out_dir``); precedence is CLI > file > defaults.  Every value is checked
 against its field's annotation before any file is written, and so are the
-memory the streams a run holds at once would need and the source of an
-unset `q_ref` (``excursion.q_ref_source``, the rule the run resolves it
-by).  Every run
+overload range every kind holds each lambda to, (1 - p, 1), the memory the
+streams a run holds at once would need and the source of an unset `q_ref`
+(``excursion.q_ref_source``, the rule the run resolves it by).  Every run
 directory receives a manifest echoing the exact configuration, the package
 version, and the master seed.  A sweep's (cell, seed) replications run in
 `workers` forked processes while the calling process only collects their
@@ -176,15 +176,11 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigurationError(f"field `p` must be in (0,1), got {cfg.p}")
     if not cfg.lambdas:
         raise ConfigurationError("field `lambdas` must be a non-empty list")
-    feasible = [lam for lam in cfg.lambdas if overloaded(lam, cfg.p)]
-    if cfg.kind in ("phase", "conserve"):
-        if not feasible:
-            raise ConfigurationError("field `lambdas` has no overload-feasible entries")
-    elif cfg.kind in ("excursion", "diagnostic") and len(cfg.lambdas) > 1:
+    if cfg.kind in ("excursion", "diagnostic") and len(cfg.lambdas) > 1:
         raise ConfigurationError(
             f"kind `{cfg.kind}` takes one lambda, got {len(cfg.lambdas)}"
         )
-    elif len(feasible) != len(cfg.lambdas):
+    if not all(overloaded(lam, cfg.p) for lam in cfg.lambdas):
         raise ConfigurationError(
             f"field `lambdas` must lie in ({1.0 - cfg.p}, 1) for kind `{cfg.kind}`"
         )
@@ -230,7 +226,7 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.kind in ("simulate", "phase", "conserve"):
         # the largest cell's expected events, (lambda + 1 - p) * (horizon + W),
         # times the cells run at once
-        cells = (_conserve_cells if cfg.kind == "conserve" else _rule_cells)(cfg, feasible)
+        cells = (_conserve_cells if cfg.kind == "conserve" else _rule_cells)(cfg)
         events = max((c["lambda"] + 1.0 - c["p"]) * (cfg.horizon + c["window"]) for c in cells)
         workers = _pool_size(cfg, len(cells) * cfg.seeds)
         _check_memory(events * workers, f"{workers} cells of ~{events:.3g} events at once",
@@ -457,20 +453,6 @@ def _run_grid(cfg: RunConfig, cells: list[dict],
     return [results[ci * cfg.seeds : (ci + 1) * cfg.seeds] for ci in range(len(cells))]
 
 
-def _feasible_lambdas(cfg: RunConfig) -> list[float]:
-    """The overload-feasible lambdas of a sweep; each one skipped is logged."""
-    feasible = []
-    for lam in cfg.lambdas:
-        if overloaded(lam, cfg.p):
-            feasible.append(lam)
-        else:
-            import logging  # loaded only when there is something to log
-
-            logging.getLogger("qadmit").warning(
-                "skipping infeasible cell lambda=%s (outside (%s, 1))", lam, 1.0 - cfg.p)
-    return feasible
-
-
 def _cell_rows(base: dict, results: list[dict]) -> list[dict]:
     """A cell's per-seed rows, then its aggregate row of seed means.
 
@@ -496,16 +478,16 @@ PHASE_COLUMNS = [
 ]
 
 
-def _rule_cells(cfg: RunConfig, lambdas) -> list[dict]:
+def _rule_cells(cfg: RunConfig) -> list[dict]:
     """One cell per lambda, its window set by `cfg.window_rule`."""
     rule = _parse_window_rule(cfg.window_rule)
     return [{"lambda": lam, "p": cfg.p, "window_rule": cfg.window_rule, "window": rule(lam),
-             "policy": cfg.policy} for lam in lambdas]
+             "policy": cfg.policy} for lam in cfg.lambdas]
 
 
 def phase_sweep(cfg: RunConfig) -> list[dict]:
     """Per-(lambda, seed) simulation rows plus one aggregate row per cell."""
-    cells = _rule_cells(cfg, _feasible_lambdas(cfg))
+    cells = _rule_cells(cfg)
     rows: list[dict] = []
     for cell, results in zip(cells, _run_grid(cfg, cells)):
         rows += _cell_rows(cell, results)
@@ -518,10 +500,10 @@ CONSERVE_COLUMNS = [
 ]
 
 
-def _conserve_cells(cfg: RunConfig, lambdas) -> list[dict]:
+def _conserve_cells(cfg: RunConfig) -> list[dict]:
     """One cell per (lambda, c), with window c * ln(1/(1-lambda))."""
     cells = []
-    for lam in lambdas:
+    for lam in cfg.lambdas:
         for c in cfg.c_values:
             window = c * log_scale(lam)
             policy = cfg.policy
@@ -537,7 +519,7 @@ def conservation_sweep(cfg: RunConfig) -> list[dict]:
     With the policy set to ``auto``, zero-window cells run the online
     threshold policy and positive windows run the lookahead heuristic.
     """
-    cells = _conserve_cells(cfg, _feasible_lambdas(cfg))
+    cells = _conserve_cells(cfg)
     rows: list[dict] = []
     ratios_by_lambda: dict[float, list[float]] = {}
     for cell, results in zip(cells, _run_grid(cfg, cells)):
@@ -590,7 +572,7 @@ def _write_sweep(out_dir: Path, name: str, columns: list[str], rows: list[dict],
 
 
 def _run_simulate(cfg: RunConfig, out_dir: Path) -> None:
-    cells = _rule_cells(cfg, cfg.lambdas)
+    cells = _rule_cells(cfg)
     grouped = _run_grid(cfg, cells, out_dir if cfg.trajectory_csv else None)
     for li, (cell, results) in enumerate(zip(cells, grouped)):
         del cell["window_rule"]  # a run summary echoes its window, not the rule
@@ -630,6 +612,7 @@ def _excursion_config(cfg: RunConfig) -> tuple[ExcursionConfig, str]:
 
 
 PER_SAMPLE_COLUMNS = ["sample", "e1", "e3", "e4", "e5", "z", "Y", "V", "J", "L0"]
+DIAGNOSTIC_COLUMNS = ["sample", "e1", "e2", "e3", "e4", "e5", "z", "Y", "V", "J", "L0", "Q0"]
 
 
 def _run_excursion(cfg: RunConfig, out_dir: Path) -> None:
@@ -658,7 +641,7 @@ def _run_diagnostic(cfg: RunConfig, out_dir: Path) -> None:
     }
     _write_json(out_dir / "diagnostic.json", payload)
     if cfg.per_sample_csv:
-        _write_csv(out_dir / "diagnostic_samples.csv", PER_SAMPLE_COLUMNS, rows)
+        _write_csv(out_dir / "diagnostic_samples.csv", DIAGNOSTIC_COLUMNS, rows)
 
 
 # The experiment kinds, each with the runner that fills its run directory.
@@ -718,10 +701,8 @@ def _add_field_args(sub) -> None:
 
 
 def main(argv=None) -> int:
-    import argparse  # only the command line parses flags and configures logging
-    import logging
+    import argparse  # only the command line parses flags
 
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = argparse.ArgumentParser(
         prog="qadmit",
         description="Admission-control queueing experiments (simulation, oracles, excursions).",

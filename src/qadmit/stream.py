@@ -44,7 +44,9 @@ def overloaded(arrival_rate: float, divert_budget: float) -> bool:
 
 
 def log_scale(rate: float) -> float:
-    """ln(1/(1 - rate)): the scale on which the mean queue and the window grow."""
+    """ln(1/(1 - rate)), rate in [0, 1): the scale on which the mean queue and the window grow."""
+    if not 0.0 <= rate < 1.0:
+        raise ConfigurationError(f"log_scale needs a rate in [0, 1), got {rate}")
     return math.log(1.0 / (1.0 - rate))
 
 
@@ -222,12 +224,12 @@ def _pcg64_states(master_words: list[int], indices: np.ndarray) -> list[tuple[in
     """
     n = indices.size
     entropy = [np.full(n, w, dtype=np.uint32) for w in master_words] + [indices]
-    hash_const = _INIT_A
+    hash_const, hash_mult = _INIT_A, _MULT_A
 
     def hashmix(value: np.ndarray) -> np.ndarray:
         nonlocal hash_const
         value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
+        hash_const = (hash_const * hash_mult) & _MASK32
         value *= np.uint32(hash_const)
         value ^= value >> np.uint32(16)
         return value
@@ -250,14 +252,8 @@ def _pcg64_states(master_words: list[int], indices: np.ndarray) -> list[tuple[in
                 pool[i_dst] = mix(pool[i_dst], hashmix(word))
         # generate_state(4, uint64): 8 uint32 words cycling over the pool,
         # paired little-endian into 4 uint64 words
-        hash_const = _INIT_B
-        out = []
-        for k in range(8):
-            value = pool[k % _POOL_SIZE] ^ np.uint32(hash_const)
-            hash_const = (hash_const * _MULT_B) & _MASK32
-            value *= np.uint32(hash_const)
-            value ^= value >> np.uint32(16)
-            out.append(value.astype(np.uint64))
+        hash_const, hash_mult = _INIT_B, _MULT_B
+        out = [hashmix(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
     words = [(out[2 * j] | (out[2 * j + 1] << np.uint64(32))).tolist() for j in range(4)]
     states = []
     # PCG64 seeds from (initstate, initseq) = (w0 w1, w2 w3), high word first

@@ -508,24 +508,40 @@ def test_same_master_seed_identical_csv(tmp_path):
     assert (tmp_path / "a" / "phase.csv").read_bytes() == (tmp_path / "b" / "phase.csv").read_bytes()
 
 
-def test_phase_skips_infeasible_cells(tmp_path, caplog):
-    cfg = RunConfig(
-        kind="phase", p=0.5, lambdas=(0.4, 0.875), window_rule="zero",
-        policy="threshold:auto", horizon=500.0, seeds=1, master_seed=1, workers=1,
-    )
-    with caplog.at_level("WARNING"):
-        rows = phase_sweep(cfg)
-    assert any("skipping" in rec.message for rec in caplog.records)
-    assert {r["lambda"] for r in rows} == {0.875}
+# below 1 - p, at 1 and above 1: each is outside the overload range (0.5, 1) at p = 0.5
+INFEASIBLE_LAMBDAS = [0.4, 1.0, 1.2]
 
 
-def test_skipped_lambda_names_the_overload_range(tmp_path, caplog):
-    args = ["--p", "0.5", "--lambdas", "1.2,0.875", "--horizon", "200", "--seeds", "1",
-            "--workers", "1", "--out", str(tmp_path / "out")]
-    with caplog.at_level("WARNING"):
-        assert main(["phase", *args]) == EXIT_OK
-    assert [rec.getMessage() for rec in caplog.records if "skipping" in rec.getMessage()] == [
-        "skipping infeasible cell lambda=1.2 (outside (0.5, 1))"]
+@pytest.mark.parametrize("lam", INFEASIBLE_LAMBDAS)
+@pytest.mark.parametrize("kind, lambdas", [
+    ("simulate", "{},0.875"), ("analytic", "{},0.875"), ("phase", "{},0.875"),
+    ("conserve", "{},0.875"), ("excursion", "{}"), ("diagnostic", "{}"),
+])
+def test_infeasible_lambda_exits_before_the_manifest(tmp_path, capsys, kind, lambdas, lam):
+    out = tmp_path / "out"
+    args = ["--p", "0.5", "--lambdas", lambdas.format(lam), "--window-rule", "constant:2",
+            "--horizon", "200", "--seeds", "1", "--workers", "1", "--out", str(out)]
+    assert main([kind, *args]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit"] == EXIT_VALIDATION
+    assert "`lambdas` must lie in (0.5, 1)" in err["error"]
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("lam", INFEASIBLE_LAMBDAS)
+@pytest.mark.parametrize("sweep, fields", [
+    (phase_sweep, dict(kind="phase", window_rule="log:2", policy="windowed-drain")),
+    (conservation_sweep, dict(kind="conserve", policy="auto", c_values=(0.0, 1.0))),
+], ids=["phase", "conserve"])
+def test_unvalidated_sweep_rejects_an_infeasible_lambda(monkeypatch, sweep, fields, lam, workers):
+    # a config built in code skips validate_config; its cells still refuse the lambda
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so that 2 workers do fork
+    cfg = RunConfig(p=0.5, lambdas=(lam, 0.875), horizon=200.0, seeds=1, workers=workers,
+                    **fields)
+    with pytest.raises(ConfigurationError):
+        sweep(cfg)
+    _assert_no_child_left()
 
 
 def test_conserve_rejects_empty_c_values_before_any_file(tmp_path, capsys):
@@ -736,6 +752,28 @@ def test_diagnostic_json(tmp_path, monkeypatch):
     samples = read_rows(tmp_path / "diag" / "diagnostic_samples.csv")
     assert len(samples) == 100
     assert samples[0]["Y"] != ""
+
+
+def test_diagnostic_samples_reproduce_its_counts(tmp_path, monkeypatch):
+    # q_ref = 0.2 makes e2 (Q0 <= 1.2) miss in about half the samples
+    from qadmit import excursion
+
+    monkeypatch.setattr(excursion, "DEFAULT_WARMUP_EVENTS", 500)
+    out = tmp_path / "diag"
+    assert main(["diagnostic", "--p", "0.5", "--lambdas", "0.9", "--window-rule", "constant:1",
+                 "--q-ref", "0.2", "--n-samples", "60", "--per-sample-csv",
+                 "--out", str(out)]) == EXIT_OK
+    payload = json.loads((out / "diagnostic.json").read_text())
+    samples = read_rows(out / "diagnostic_samples.csv")
+    assert list(samples[0]) == ["sample", "e1", "e2", "e3", "e4", "e5", "z", "Y", "V", "J",
+                                "L0", "Q0"]
+    assert sum(int(r["e1"]) for r in samples) == payload["p_e1"]["hits"]
+    assert sum(int(r["e2"]) for r in samples) == payload["p_e2"]["hits"]
+    assert 0 < payload["p_e2"]["hits"] < 60
+    assert sum(r["e1"] == r["e2"] == "1" for r in samples) == payload["n_conditional"]
+    for r in samples:
+        assert int(r["e2"]) == (int(r["Q0"]) <= 6 * 0.2)
+        assert int(r["L0"]) == (int(r["Q0"]) <= 2 * 0.2)
 
 
 @pytest.mark.parametrize("args, source", [

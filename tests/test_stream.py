@@ -13,6 +13,7 @@ from qadmit.stream import (
     ModelParams,
     count_events,
     generate_stream,
+    log_scale,
     net_input,
     replication_generators,
     replication_seed,
@@ -35,6 +36,18 @@ def test_params_validation():
     p = ModelParams(0.9, 0.5)
     assert p.drift == pytest.approx(0.4)
     assert p.total_rate == pytest.approx(1.4)
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.2, -0.1, math.nan])
+def test_log_scale_rejects_a_rate_outside_0_1(rate):
+    # ln(1/(1 - rate)) would divide by zero at 1 and leave the math domain past it
+    with pytest.raises(ConfigurationError, match="rate in"):
+        log_scale(rate)
+
+
+def test_log_scale_values():
+    assert log_scale(0.0) == 0.0
+    assert log_scale(0.875) == math.log(8.0)
 
 
 def test_stream_invariants_enforced():
