@@ -117,9 +117,11 @@ _TYPE_NAMES = {str: "a string", int: "an integer", float: "a finite number", boo
 
 
 def _is_a(value, typ: type) -> bool:
-    """Whether a JSON value holds a `typ`; a bool is no number, and an int passes as a float."""
+    """Whether a JSON value holds a `typ`; a bool is no number, an int in float range a float."""
     if typ is float:
-        return type(value) is int or (isinstance(value, float) and math.isfinite(value))
+        if type(value) is int:
+            return abs(value) <= sys.float_info.max
+        return isinstance(value, float) and math.isfinite(value)
     if typ is int:
         return type(value) is int
     return isinstance(value, typ)
@@ -293,8 +295,7 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
-    _write_rows(path, header,
-                ([_fmt(row[col]) if col in row else "" for col in header] for row in rows))
+    _write_rows(path, header, ([_fmt(row[col]) for col in header] for row in rows))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -627,7 +628,8 @@ def _run_excursion(cfg: RunConfig, out_dir: Path) -> None:
         del estimate["name"]
     _write_json(out_dir / "excursion.json", payload)
     if cfg.per_sample_csv:
-        empty = [""] * (len(PER_SAMPLE_COLUMNS) - 5)  # the policy-dependent columns
+        # z is not recorded per sample, and Y, V, J, L0 need a policy
+        empty = [""] * (len(PER_SAMPLE_COLUMNS) - 5)
         _write_rows(out_dir / "excursion_samples.csv", PER_SAMPLE_COLUMNS,
                     ([i, *r, *empty] for i, r in enumerate(indicators.astype(int).tolist())))
 

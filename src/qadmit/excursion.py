@@ -26,11 +26,12 @@ per sample i of a range.  Sample i is seeded exactly as
 re-seeds one Generator in place; ``generate_stream`` builds each stream
 through its trusted constructor, without re-checking what generation
 guarantees.  The estimators score the streams through ``_sampled_events``,
-and the diagnostic simulates a policy on them.  Every Monte Carlo routine
-returns its report beside its per-sample rows.  The diagnostic takes its
-wasted tokens from the engine's rule, ``sim.wasted_tokens``.  Where an
-unset q_ref comes from is one rule, ``q_ref_source``, which
-``reference_queue`` and the CLI's config validation both call.
+and the diagnostic simulates a policy on them.  The event estimator and
+the diagnostic return per-sample rows beside their report; the zeta sweep
+and the rate fit return estimates alone.  The diagnostic takes its wasted
+tokens from the engine's rule, ``sim.wasted_tokens``.  Where an unset q_ref
+comes from is one rule, ``q_ref_source``, which ``reference_queue`` and the
+CLI's config validation both call.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ fills the post-event queue ``path[1:]`` of an int64 buffer whose ``path[0]``
 holds q0 and returns nothing, since the engine reads the diversions off that
 path.  A kernel runs from the state ``reset()`` leaves, as the engine resets
 the policy first.  Admit-all is the closed-form Lindley recursion.  Threshold
-walks blocks of ~cbrt(n) marks in lockstep, composes each block into one map
+walks blocks of 32 marks in lockstep, composes each block into one map
 q -> clip(q + a, lo, hi) and carries q across the block starts with a
 Hillis-Steele scan of those maps in log2 passes.  Windowed-drain is a credit
 loop, block by block, over per-event window lows from one reduceat.  The two
@@ -42,6 +42,7 @@ from .stream import EventStream, ModelParams
 
 _THRESHOLD_SCAN_CAP = 10**6
 _DRAIN_BLOCK = 2**15  # events per block of the windowed-drain kernel
+_SCAN_BLOCK = 32  # marks per block of the threshold scan
 
 
 @dataclass
@@ -80,21 +81,11 @@ def _free_walk(marks: np.ndarray, path: np.ndarray) -> np.ndarray:
     return walk
 
 
-def _scan_block_length(n: int) -> int:
-    """Block length of the threshold scan over n marks: about cbrt(n), from 2 to 32.
-
-    Each step of a block costs three numpy calls and each scan pass two,
-    so short blocks pay off while calls dominate; past ~3e4 marks the
-    element work dominates and the block stays at 32.
-    """
-    return min(32, max(2, round(n ** (1 / 3))))
-
-
 def _clip_scan(marks: np.ndarray, q: int, x: int, out: np.ndarray) -> None:
     """Write the path of q -> clip(q + m, 0, x) from a start q in [0, x] into out.
 
-    The marks are cut into nb blocks of b steps (:func:`_scan_block_length`,
-    the last block padded with zero steps, which map q to itself).  One
+    The marks are cut into nb blocks of b = ``_SCAN_BLOCK`` steps, whatever
+    n is (the last block padded with zero steps, which map q to itself).  One
     lockstep loop over the b steps walks every block at once in three rows:
     the free walk and the walks clipped to [0, x] from 0 and from x.  Their
     ends a, lo and hi give the block's map q -> clip(q + a, lo, hi), and such
@@ -116,7 +107,7 @@ def _clip_scan(marks: np.ndarray, q: int, x: int, out: np.ndarray) -> None:
     [-n, x + n], int32 unless that reaches 2**31.
     """
     n = marks.size
-    b = _scan_block_length(n)
+    b = _SCAN_BLOCK
     dt = np.int8 if x + b < 2**7 else np.int16 if x + b < 2**15 else np.int64
     nb = -(-n // b)
     full = n // b

@@ -139,6 +139,8 @@ def run_simulation(
         raise ConfigurationError(f"burn_in must be in [0, 1), got {burn_in!r}")
     if isinstance(policy, str):
         policy = make_policy(policy, stream.params)
+    elif not (hasattr(policy, "simulate") or hasattr(policy, "decide")):
+        raise ConfigurationError(f"policy handle {policy!r} has neither simulate() nor decide()")
     if hasattr(policy, "reset"):
         policy.reset()
     if t_end is None:
@@ -152,10 +154,8 @@ def run_simulation(
     if n_sim:
         if hasattr(policy, "simulate"):
             policy.simulate(stream, path)
-        elif hasattr(policy, "decide"):
-            _simulate_generic(stream, policy, path)
         else:
-            raise ConfigurationError(f"policy handle {policy!r} has no decide()")
+            _simulate_generic(stream, policy, path)
 
     trajectory = QueueTrajectory(
         initial=q0, pre_event_queue=path[:-1], post_event_queue=path[1:], t_end=float(t_end)

@@ -268,6 +268,31 @@ def test_q0_past_2_to_62_exits_before_the_manifest(tmp_path, capsys):
     assert config_from_mapping(dict(kind="simulate", p=0.5, lambdas=[0.9], q0=2**62)).q0 == 2**62
 
 
+@pytest.mark.parametrize("kind, field", [
+    ("simulate", "horizon"), ("conserve", "c_values"), ("excursion", "k"),
+    ("excursion", "zeta"), ("excursion", "phi"), ("diagnostic", "q_ref"),
+])
+def test_integer_past_float_range_exits_before_the_manifest(tmp_path, capsys, kind, field):
+    value = "1" + "0" * 400  # a JSON integer that no float holds
+    if field == "c_values":
+        value = f"[0, {value}]"
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"p": 0.5, "lambdas": [0.9], "window_rule": "constant:2", '
+                      f'"{field}": {value}}}')
+    assert main([kind, "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit"] == EXIT_VALIDATION
+    assert f"`{field}`" in err["error"]
+    assert not (out / "manifest.json").exists()
+
+
+def test_largest_float_as_an_integer_still_passes():
+    top = int(sys.float_info.max)
+    cfg = config_from_mapping(dict(kind="analytic", p=0.5, lambdas=[0.9], horizon=top, k=top))
+    assert cfg.horizon == top and cfg.k == top
+
+
 def test_conserve_defaults_to_auto_policy():
     cfg = config_from_mapping(dict(kind="conserve", p=0.5, lambdas=[0.875]))
     assert cfg.policy == "auto"
@@ -572,6 +597,12 @@ def test_phase_csv_columns_and_stub(tmp_path):
     # round-trip float formatting
     assert float(rows[0]["mean_queue_event"]) == json.loads(rows[0]["mean_queue_event"])
     assert (tmp_path / "out" / "plot_phase.py").exists()
+
+
+def test_write_csv_raises_on_a_row_missing_a_column(tmp_path):
+    # every writer passes every column, so a lost key is an error, not an empty cell
+    with pytest.raises(KeyError, match="b"):
+        cli._write_csv(tmp_path / "rows.csv", ["a", "b"], [{"a": 1, "b": 2}, {"a": 3}])
 
 
 def test_conserve_rows_auto_policy_and_min():
@@ -963,9 +994,12 @@ def test_every_flag_maps_to_its_field(monkeypatch):
     assert seen[1] == {"kind": "phase"}
 
 
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_commands():
     """Each `qadmit ...` command in README.md's bash blocks, continuations joined."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = _README.read_text()
     return [shlex.split(line)
             for block in re.findall(r"```bash\n(.*?)```", text, re.S)
             for line in block.replace("\\\n", " ").splitlines()
@@ -980,3 +1014,12 @@ def test_readme_commands_validate(monkeypatch):
     assert sorted(argv[1] for argv in commands) == sorted(KIND_RUNS)
     for argv in commands:
         assert main(argv[1:]) == EXIT_OK, shlex.join(argv)
+
+
+def test_readme_library_quick_start_runs():
+    text = _README.read_text()
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", text, re.S).group(1)
+    names: dict = {}
+    exec(block, names)
+    assert names["x"] == 2
+    assert names["exact"] == pytest.approx(1.3708609, abs=1e-7)

@@ -68,6 +68,14 @@ def test_unknown_policy_handle():
         run_simulation(s, "admit-all", q0=-1)
 
 
+def test_a_policy_without_decide_is_rejected_on_an_empty_run():
+    # t_end before the first epoch simulates no event; the handle is checked all the same
+    s = hand_stream([(1.0, 1), (2.0, -1)], 3.0)
+    assert run_simulation(s, "admit-all", t_end=0.5)[2].n_events == 0
+    with pytest.raises(ConfigurationError, match="decide"):
+        run_simulation(s, object(), t_end=0.5)
+
+
 @pytest.mark.parametrize("field, value", [
     ("burn_in", -0.5), ("burn_in", 1.0), ("burn_in", float("nan")), ("q0", 1.5),
     ("q0", True), ("q0", np.bool_(True)),
@@ -447,37 +455,23 @@ def test_threshold_scan_matches_generic_property(marks, q0, x):
     _assert_threshold_matches_generic(marks, q0, x)
 
 
-def _block_geometry(n):
-    b = policy_module._scan_block_length(n)
-    return b, -(-n // b)
-
-
-def _lengths_with_block_counts(counts):
-    # for each block count nb, the n up to 4e4 with that count whose last
-    # block is whole, a single step, or one step short of whole
-    found = {}
-    for n in range(1, 40001):
-        b, nb = _block_geometry(n)
-        if nb in counts and n % b in (0, 1, b - 1):
-            found.setdefault(nb, []).append(n)
-    return found
-
+_B = policy_module._SCAN_BLOCK
 
 # nb = 1 runs no scan pass; nb = 2**k ends on a pass that covers half the
-# maps, nb = 2**k + 1 on one that covers one; each with every last-block shape
+# maps, nb = 2**k + 1 on one that covers one; each with a last block that
+# is whole, a single step, or one step short of whole
 _SCAN_COUNTS = (1, 2, 3, 4, 5, 16, 17, 64, 65, 256, 257, 1024, 1025)
-_SCAN_CASES = _lengths_with_block_counts(_SCAN_COUNTS)
+_SCAN_CASES = {nb: [nb * _B, (nb - 1) * _B + 1, nb * _B - 1] for nb in _SCAN_COUNTS}
 
 
 def test_scan_block_geometry_cases_cover_every_count():
-    assert sorted(_SCAN_CASES) == sorted(_SCAN_COUNTS)
-    # the block length grows as n**(1/3) from 2 and stops at 32
-    assert [policy_module._scan_block_length(n) for n in (1, 7, 50, 500, 29791, 10**7)] == [
-        2, 2, 4, 8, 31, 32]
+    for nb, lengths in _SCAN_CASES.items():
+        assert [-(-n // _B) for n in lengths] == [nb] * 3
+        assert [n % _B for n in lengths] == [0, 1, _B - 1]
 
 
-# n = 1 to 5 make one to three blocks of 2; 15 makes 8 blocks of 2 whose last
-# is a single step; 16 and 17 make 6 blocks of 3, and 1023 to 1025 103 of 10
+# n = 1 to 17 make one padded block; 1023 to 1025 make 32 blocks whose last
+# is one step short, 32 whole ones, and 33 whose last is a single step
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 15, 16, 17, 1023, 1024, 1025])
 @pytest.mark.parametrize("x, q0", [(0, 0), (0, 3), (2, 0), (3, 3), (2, 9)])
 def test_threshold_scan_block_lengths(n, x, q0):
@@ -513,15 +507,9 @@ def test_int8_marks_widen_before_the_walk_is_summed():
 
 
 def _scan_lengths():
-    # one block (n <= 2), then around whole blocks at two block lengths
-    # (4 and 14): a short last block, none, or one of a single step
-    lengths = {1, 2, 3}
-    for n0 in (50, 3000):
-        b, _ = _block_geometry(n0)
-        m = n0 // b
-        lengths |= {m * b - 1, m * b, m * b + 1}
-    assert {_block_geometry(n)[0] for n in lengths} == {2, 4, 14}
-    return sorted(lengths)
+    # one padded block, then around 1 and 93 whole blocks: a last block one
+    # step short, whole, or of a single step
+    return [1, 2, 3, _B - 1, _B, _B + 1, 93 * _B - 1, 93 * _B, 93 * _B + 1]
 
 
 @pytest.mark.parametrize("x", [0, 1, 4, 62, 63, 64, 94, 95, 96, 126, 127, 300])
@@ -532,30 +520,32 @@ def test_threshold_scan_block_geometry(x):
         marks = np.where(rng.random(n) < 0.55, 1, -1)
         for q0 in (0, x):
             _assert_threshold_matches_generic(marks, q0, x)
-        # from x, a block of arrivals takes the scan to x + b, the top of its dtype
+        # from x, a block of arrivals takes the scan to x + 32, the top of its
+        # dtype (x = 94 to 96 straddle the int8 edge)
         _assert_threshold_matches_generic([1] * n, x, x)
         # from q0 = x + 2 two tokens bring the queue to x, and the scan runs
         # over the n marks after them
         _assert_threshold_matches_generic([-1, -1, *marks], x + 2, x)
 
 
-# x + b just below and at each dtype edge: 2**7 ends int8, 2**15 int16
+# x + 32 just below and at each dtype edge: 2**7 ends int8, 2**15 int16
 @pytest.mark.parametrize("edge", [2**7 - 1, 2**7, 2**15 - 1, 2**15])
-@pytest.mark.parametrize("n", [9, 50, 500, 3000, 31256])  # b = 2, 4, 8, 14, 32
+@pytest.mark.parametrize("n", [9, 50, 500, 3000, 31256])  # 1, 2, 16, 94 and 977 blocks
 def test_threshold_scan_dtype_edges(edge, n):
-    b, _ = _block_geometry(n)
-    x = edge - b
+    x = edge - _B
     rng = np.random.default_rng(edge + n)
     marks = np.where(rng.random(n) < 0.5, 1, -1)
-    # arrivals from x lift the free walk plus start to x + b = edge; tokens
-    # from 0 sink the free walk to -b; the q0 > x prefix reaches x first
+    # a block of arrivals from x lifts the free walk plus start to x + 32 =
+    # edge (n = 9 fills no block, so only the fifth stream takes it there);
+    # tokens from 0 sink the free walk as far as -32; the q0 > x prefix
+    # reaches x first
     for stream_marks, q0 in (([1] * n, x), ([-1] * n, 0), (marks, x), (marks, 0),
-                             ([1] * b + [-1] * (n + b), x), ([-1, -1, *marks], x + 2)):
+                             ([1] * _B + [-1] * (n + _B), x), ([-1, -1, *marks], x + 2)):
         _assert_threshold_matches_generic(stream_marks, q0, x)
 
 
 def test_threshold_scan_wide_dtype():
-    # x + block length >= 2**15 forces int64 intermediates
+    # x + 32 >= 2**15 forces int64 intermediates
     big = 2**15
     marks = [1, 1, 1, -1, 1, 1, -1, -1, 1, 1, 1, 1, -1, 1, 1, 1]
     _assert_threshold_matches_generic(marks, q0=big - 4, x=big - 3)
@@ -582,7 +572,7 @@ def _python_clip_path(marks, q, x):
 @example(n=5000, x=300, q=150, p=0.8, seed=0)
 @example(n=4097, x=0, q=0, p=0.5, seed=1)
 def test_clip_scan_matches_a_python_loop(n, x, q, p, seed):
-    # thousands of marks take the scan through up to 9 passes, well past
+    # thousands of marks take the scan through up to 8 passes, well past
     # the decide() comparisons above
     q = min(q, x)
     marks = np.where(np.random.default_rng(seed).random(n) < p, 1, -1).astype(np.int8)
