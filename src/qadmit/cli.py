@@ -223,16 +223,18 @@ def validate_config(cfg: RunConfig) -> None:
         if pilot:
             horizon = max(horizon, DEFAULT_PILOT_HORIZON + config.window)
         events = config.params.total_rate * horizon
-        _check_memory(events, f"`{cfg.kind}` streams of ~{events:.3g} events",
-                      "`phi`, `k` or the window")
+        _check_memory(events * PEAK_BYTES_PER_EVENT,
+                      f"`{cfg.kind}` streams of ~{events:.3g} events", "`phi`, `k` or the window")
     if cfg.kind in ("simulate", "phase", "conserve"):
         # the largest cell's expected events, (lambda + 1 - p) * (horizon + W),
-        # times the cells run at once
+        # times the cells run at once, plus what the parent holds per task
         cells = (_conserve_cells if cfg.kind == "conserve" else _rule_cells)(cfg)
         events = max((c["lambda"] + 1.0 - c["p"]) * (cfg.horizon + c["window"]) for c in cells)
-        workers = _pool_size(cfg, len(cells) * cfg.seeds)
-        _check_memory(events * workers, f"{workers} cells of ~{events:.3g} events at once",
-                      "`horizon` or `workers`")
+        tasks = len(cells) * cfg.seeds
+        workers = _pool_size(cfg, tasks)
+        _check_memory(events * workers * PEAK_BYTES_PER_EVENT + tasks * PARENT_BYTES_PER_TASK,
+                      f"{workers} cells of ~{events:.3g} events at once and {tasks} (cell, seed) "
+                      "results", "`horizon`, `workers` or `seeds`")
 
 
 # Peak bytes per stream event of one simulated cell: the bound the tests hold
@@ -241,19 +243,23 @@ def validate_config(cfg: RunConfig) -> None:
 # Monte Carlo streams count at the same rate.
 PEAK_BYTES_PER_EVENT = 48
 
+# Bytes the parent of a sweep holds per (cell, seed) task: the task tuple, the
+# summary row a worker returns and the CSV row built from it.  The bound the
+# tests hold a `conserve` sweep to, whose rows are the widest (tracemalloc, 1500
+# seeds of one cell: 1020; `phase` 972, `simulate` ~560 with no CSV rows).
+PARENT_BYTES_PER_TASK = 1280
 
-def _check_memory(events: float, what: str, remedy: str) -> None:
-    """Reject a run that would hold `events` stream events at once; `what` names them.
 
-    Each event costs PEAK_BYTES_PER_EVENT at peak.  Physical rather than
-    available memory keeps the verdict deterministic; where os.sysconf
-    cannot tell, nothing is checked.
+def _check_memory(peak: float, what: str, remedy: str) -> None:
+    """Reject a run whose `what` would need `peak` bytes at once.
+
+    Physical rather than available memory keeps the verdict deterministic;
+    where os.sysconf cannot tell, nothing is checked.
     """
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
-    peak = events * PEAK_BYTES_PER_EVENT
     if peak > memory:
         raise ConfigurationError(
             f"{what} need ~{peak / 2**30:.3g} GiB at peak, over the {memory / 2**30:.3g} GiB "

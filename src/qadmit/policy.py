@@ -23,11 +23,12 @@ fills the post-event queue ``path[1:]`` of an int64 buffer whose ``path[0]``
 holds q0 and returns nothing, since the engine reads the diversions off that
 path.  A kernel runs from the state ``reset()`` leaves, as the engine resets
 the policy first.  Admit-all is the closed-form Lindley recursion.  Threshold
-walks blocks of 32 marks in lockstep, composes each block into one map
-q -> clip(q + a, lo, hi) and carries q across the block starts with a
-Hillis-Steele scan of those maps in log2 passes.  Windowed-drain is a credit
-loop, block by block, over per-event window lows from one reduceat.  The two
-agree decision for decision, which the tests pin down.
+walks blocks of 32 marks in lockstep, in int8 when x + 32 < 2**7 and in
+int64 otherwise, composes each block into one map q -> clip(q + a, lo, hi)
+and carries q across the block starts with an int64 Hillis-Steele scan of
+those maps in log2 passes.  Windowed-drain is a credit loop, block by block,
+over per-event window lows from one reduceat.  The two agree decision for
+decision, which the tests pin down.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .analytic import bd_stationary
 from .errors import ConfigurationError
 from .stream import EventStream, ModelParams
 
-_THRESHOLD_SCAN_CAP = 10**6
 _DRAIN_BLOCK = 2**15  # events per block of the windowed-drain kernel
 _SCAN_BLOCK = 32  # marks per block of the threshold scan
 
@@ -63,13 +63,25 @@ def min_feasible_threshold(params: ModelParams) -> int:
     """Smallest threshold whose stationary diversion rate fits the budget.
 
     The rate lambda * pi_x(x) decreases in x toward the drift
-    lambda - (1 - p) < p, so the scan below always terminates; the cap is a
-    tripwire, not a tuning knob.
+    lambda - (1 - p) < p, so the feasible thresholds are x* and all above it.
+    Doubling through x = 0, 1, 3, 7, ... meets a feasible x after k + 1
+    birth-death solutions, k = ceil(log2(x* + 1)), and bisection between it
+    and the last infeasible x takes at most k more.
     """
-    for x in range(_THRESHOLD_SCAN_CAP):
-        if bd_stationary(params, x).diversion_rate <= params.divert_budget:
-            return x
-    raise RuntimeError("threshold scan cap hit; diversion rate failed to fall below budget")
+
+    def feasible(x: int) -> bool:
+        return bd_stationary(params, x).diversion_rate <= params.divert_budget
+
+    lo, hi = -1, 0  # lo is infeasible (or -1), hi the candidate
+    while not feasible(hi):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _free_walk(marks: np.ndarray, path: np.ndarray) -> np.ndarray:
@@ -103,12 +115,11 @@ def _clip_scan(marks: np.ndarray, q: int, x: int, out: np.ndarray) -> None:
     one transposing copy widens it into ``out``.
 
     The walks and that last clip stay in [-b, x + b]: int8 when x + b < 2**7,
-    else int16 below 2**15, else int64.  The scan's values lie in
-    [-n, x + n], int32 unless that reaches 2**31.
+    else int64.  The scan, whose values lie in [-n, x + n], runs in int64.
     """
     n = marks.size
     b = _SCAN_BLOCK
-    dt = np.int8 if x + b < 2**7 else np.int16 if x + b < 2**15 else np.int64
+    dt = np.int8 if x + b < 2**7 else np.int64
     nb = -(-n // b)
     full = n // b
     steps = np.zeros((b, nb), dtype=dt)  # row j: step j of every block
@@ -129,10 +140,9 @@ def _clip_scan(marks: np.ndarray, q: int, x: int, out: np.ndarray) -> None:
         np.minimum(row, ceil, out=row)
         cur = row
 
-    wide = np.int32 if n + x < 2**31 else np.int64
-    starts = np.zeros(nb, dtype=wide)  # S at each block start, then the queue there
-    np.add.accumulate(cur[0, :-1], dtype=wide, out=starts[1:])
-    bounds = np.empty((2, nb), dtype=wide)  # rows L and H of the maps being scanned
+    starts = np.zeros(nb, dtype=np.int64)  # S at each block start, then the queue there
+    np.add.accumulate(cur[0, :-1], dtype=np.int64, out=starts[1:])
+    bounds = np.empty((2, nb), dtype=np.int64)  # rows L and H of the maps being scanned
     bounds[:, 0] = q
     np.subtract(cur[1:, :-1], starts[1:], out=bounds[:, 1:])
     d = 1

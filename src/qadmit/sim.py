@@ -191,13 +191,7 @@ def _compute_metrics(
     n_used = n - n_burn
     times = stream.times
     t_start = float(times[n_burn - 1]) if n_burn >= 1 else 0.0
-    # the float .mean() gives: below 2**53 its float64 partial sums of the
-    # int64 path are exact, and so is the int64 sum; past that .mean() rounds
-    # and the int64 sum could wrap
-    if n_used * (int(trajectory.initial) + n) < 2**53:
-        mean_event = int(pre[n_burn:].sum()) / n_used
-    else:
-        mean_event = float(pre[n_burn:].mean())
+    mean_event = float(pre[n_burn:].mean())
 
     # queue-weighted segment lengths between t_start, the used epochs and
     # t_end, built in one buffer; the same products in the same order as

@@ -8,6 +8,7 @@ import shlex
 import signal
 import subprocess
 import sys
+import tracemalloc
 from importlib import metadata
 from pathlib import Path
 
@@ -179,6 +180,35 @@ def test_sweep_memory_estimate_against_one_gib(monkeypatch, kind):
     config_from_mapping(base | {"horizon": 2e6, "workers": 1})
 
 
+def test_sweep_memory_counts_the_parent_bytes_per_seed(monkeypatch):
+    # 10**12 (cell, seed) tasks would be built and kept by the parent, whatever
+    # the streams: rejected by validation alone, never run
+    huge = dict(kind="phase", p=0.5, lambdas=[0.9], horizon=10.0, seeds=10**12)
+    with pytest.raises(ConfigurationError, match="`seeds`"):
+        config_from_mapping(huge)
+    monkeypatch.setattr(os, "sysconf", _one_gib)
+    with pytest.raises(ConfigurationError, match="`seeds`"):
+        config_from_mapping(huge)
+    # ~1.3 GB of parent rows at 10**6 seeds, ~128 MB at 10**5
+    with pytest.raises(ConfigurationError, match="physical memory"):
+        config_from_mapping(huge | {"seeds": 10**6, "workers": 1})
+    config_from_mapping(huge | {"seeds": 10**5, "workers": 1})
+
+
+def test_parent_bytes_per_task_bound_a_conserve_sweep(tmp_path):
+    cfg = config_from_mapping(dict(kind="conserve", p=0.5, lambdas=[0.9], c_values=[0.0],
+                                   horizon=2.0, seeds=1500, workers=2,
+                                   out_dir=str(tmp_path)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cli.RUNNERS["conserve"](cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / cfg.seeds <= cli.PARENT_BYTES_PER_TASK
+
+
 def test_monte_carlo_memory_estimate_against_one_gib(monkeypatch):
     monkeypatch.setattr(os, "sysconf", _one_gib)
     # ~2.8e9 events in each sample's base path
@@ -248,6 +278,7 @@ def test_validation_catches_bad_values():
     (["--c-values=1,-1"], "`c_values`"),
     (["--lambdas", "0.3,0.5"], "`lambdas`"),  # none above 1 - p
     (["--window-rule", "constant:abc"], "window rule"),
+    (["--seeds", str(10**12)], "`seeds`"),  # the parent's rows would not fit
 ])
 def test_out_of_range_field_exits_before_the_manifest(tmp_path, capsys, flags, name):
     out = tmp_path / "out"

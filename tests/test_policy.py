@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from qadmit import policy as policy_module
+from qadmit.analytic import bd_stationary
 from qadmit.errors import ConfigurationError
 from qadmit.policy import (
     AdmitAllPolicy,
@@ -60,6 +64,53 @@ def test_min_feasible_threshold_monotone_in_lambda():
             for lam in np.linspace(1 - p + 0.02, 0.995, 25)
         ]
         assert all(a <= b for a, b in zip(xs, xs[1:]))
+
+
+def _linear_min_feasible_threshold(params):
+    """The reference: the first x whose stationary diversion rate fits the budget."""
+    x = 0
+    while bd_stationary(params, x).diversion_rate > params.divert_budget:
+        x += 1
+    return x
+
+
+def test_min_feasible_threshold_matches_the_linear_scan():
+    # lambda from just above 1 - p up to nextafter(1, 0): x* from 0 to 1631;
+    # on three of these pairs the float rate rises by an ulp just past x*
+    pairs = 0
+    for p in (0.02, 0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+        gaps = [2.0**-k for k in range(1, 53)] + [0.75, 0.9, 0.99]
+        for lam in [1 - p * g for g in gaps] + [math.nextafter(1.0, 0.0)]:
+            if 1 - p < lam < 1:
+                params = ModelParams(lam, p)
+                assert min_feasible_threshold(params) == _linear_min_feasible_threshold(params), (
+                    p, lam)
+                pairs += 1
+    assert pairs == 661
+
+
+def test_min_feasible_threshold_solves_logarithmically_many_laws(monkeypatch):
+    # the linear scan takes ~20 s here, one birth-death law per x up to 46514
+    params = ModelParams(0.999999, 0.0001)
+    calls = []
+
+    def counted(params, x):
+        calls.append(x)
+        return bd_stationary(params, x)
+
+    monkeypatch.setattr(policy_module, "bd_stationary", counted)
+    x_star = min_feasible_threshold(params)
+    assert x_star == 46514
+    assert len(calls) <= 2 * math.log2(x_star) + 4
+    assert bd_stationary(params, x_star).diversion_rate <= params.divert_budget
+    assert bd_stationary(params, x_star - 1).diversion_rate > params.divert_budget
+
+
+def test_every_lambda_at_p_half_takes_the_int8_scan():
+    # x* + 32 < 2**7 at the largest lambda below 1, so every threshold:auto
+    # cell at p = 0.5 walks its blocks in int8
+    x_star = min_feasible_threshold(ModelParams(math.nextafter(1.0, 0.0), 0.5))
+    assert x_star + policy_module._SCAN_BLOCK < 2**7
 
 
 def test_windowed_drain_empty_queue_admits():

@@ -528,7 +528,8 @@ def test_threshold_scan_block_geometry(x):
         _assert_threshold_matches_generic([-1, -1, *marks], x + 2, x)
 
 
-# x + 32 just below and at each dtype edge: 2**7 ends int8, 2**15 int16
+# x + 32 just below and at 2**7, where the int8 walks end, and just below
+# and at 2**15, well inside the int64 walks that every larger x takes
 @pytest.mark.parametrize("edge", [2**7 - 1, 2**7, 2**15 - 1, 2**15])
 @pytest.mark.parametrize("n", [9, 50, 500, 3000, 31256])  # 1, 2, 16, 94 and 977 blocks
 def test_threshold_scan_dtype_edges(edge, n):
@@ -545,7 +546,7 @@ def test_threshold_scan_dtype_edges(edge, n):
 
 
 def test_threshold_scan_wide_dtype():
-    # x + 32 >= 2**15 forces int64 intermediates
+    # x + 32 >= 2**15: int64 walks, far past the int8 edge
     big = 2**15
     marks = [1, 1, 1, -1, 1, 1, -1, -1, 1, 1, 1, 1, -1, 1, 1, 1]
     _assert_threshold_matches_generic(marks, q0=big - 4, x=big - 3)
