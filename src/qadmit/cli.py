@@ -13,9 +13,12 @@ streams a run holds at once would need and the source of an unset `q_ref`
 directory receives a manifest echoing the exact configuration, the package
 version, and the master seed.  A sweep's (cell, seed) replications run in
 `workers` forked processes while the calling process only collects their
-results; where ``os.fork`` is missing they run serially.  Replications are
-keyed by (cell, seed) index, so results are byte-identical regardless of
-worker count.
+results; where ``os.fork`` is missing they run serially.  A worker keeps
+the memory its tasks free for its next task rather than give it back to
+the kernel, since each task would otherwise fault in its arrays page by
+page again; the calling process keeps its allocator's defaults.
+Replications are keyed by (cell, seed) index, so results are
+byte-identical regardless of worker count.
 
 ``main`` is the one entry point that takes a config and the one place
 that maps a failure to an exit code: 0 success, 1 runtime failure, 2 config
@@ -27,6 +30,7 @@ runs, for callers that build a config in code.
 from __future__ import annotations
 
 import csv
+import ctypes  # numpy imports it already
 import dataclasses
 import json
 import math
@@ -240,6 +244,11 @@ def validate_config(cfg: RunConfig) -> None:
 # Peak bytes per stream event of one simulated cell: the bound the tests hold
 # windowed-drain to, whose peak sets it (tracemalloc: 43 at horizon 1e5 to 33 at
 # 1e6, lambda = 1 - 2**-5); threshold:auto reads 25.8 and 25.3 (tested bound 28).
+# Writing the trajectory CSV adds ~1 MB at most, one block of rows.
+# A sweep worker keeps what its cells free, so it holds its largest cell's peak
+# for the rest of its share, plus whatever freed memory its later cells fail
+# to reuse: under 1 MB in the sweeps measured (2 workers' peak RSS 63.9 -> 64.6
+# MB over 30 threshold:auto cells of horizon 1e6, flat over 100 of 1e5 each).
 # Monte Carlo streams count at the same rate.
 PEAK_BYTES_PER_EVENT = 48
 
@@ -344,8 +353,20 @@ def _simulate_cell(task: tuple) -> dict:
                    traj.pre_event_queue, traj.post_event_queue)
         _write_rows(trajectory_dir / f"trajectory_lam{cell_idx}_seed{rep_idx}.csv",
                     ["n", "time", "mark", "H", "Q_pre", "Q_post"],
-                    zip(range(1, n + 1), *(c.tolist() for c in columns)))
+                    _trajectory_rows(columns, n))
     return {"seed": rep_idx} | {key: getattr(m, key) for key in _SUMMARY_MEANS}
+
+
+# Rows of a trajectory CSV made into Python objects at once: whole columns as
+# lists would cost ~60 B/event over the run's own arrays
+_TRAJECTORY_BLOCK = 2**15
+
+
+def _trajectory_rows(columns: tuple, n: int):
+    """Rows ``(i, *column values)`` for i = 1..n, listed one block of rows at a time."""
+    for start in range(0, n, _TRAJECTORY_BLOCK):
+        stop = min(start + _TRAJECTORY_BLOCK, n)
+        yield from zip(range(start + 1, stop + 1), *(c[start:stop].tolist() for c in columns))
 
 
 def _pool_size(cfg: RunConfig, n_tasks: int) -> int:
@@ -358,9 +379,40 @@ def _pool_size(cfg: RunConfig, n_tasks: int) -> int:
     return min(cfg.workers or cpus, cpus, n_tasks)
 
 
+# glibc's mallopt parameters (malloc.h) and the largest mmap threshold it takes
+# on a 64-bit host; a larger one is refused and changes nothing
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MAX_MMAP_THRESHOLD = 32 * 2**20
+
+
+def _keep_freed_memory() -> None:
+    """Have this process's malloc keep the blocks it frees for its next allocations.
+
+    By default glibc gives each freed block of 128 KiB or more back to the
+    kernel, so the next task's arrays of that size are faulted in afresh,
+    page by page.  An mmap threshold at its maximum puts such blocks on the
+    heap, and a trim threshold of 1 GiB keeps the heap's freed top; both are
+    needed, since setting either one turns off glibc's dynamic threshold.
+    Where libc has no ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # no C library to load, or one without mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MAX_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2**30)
+
+
 def _run_share(fn, share: list, writer) -> typing.NoReturn:
     """A forked worker's whole life: run `share` in order, send what came of it, exit.
 
+    It first keeps the memory its tasks free (``_keep_freed_memory``): every
+    task of a sweep allocates arrays of the same few sizes, so a task reuses
+    the pages the one before it touched instead of faulting them in again,
+    and the worker's resident set stays at its largest task's.  Only a
+    worker does this, since it lives for its share alone.
     It sends ``(results, None)``, or ``(tasks finished, exception)`` once a
     task raises.  It always leaves through ``os._exit``, so it never returns
     into the parent's stack, runs no exit handlers and flushes no inherited
@@ -368,6 +420,7 @@ def _run_share(fn, share: list, writer) -> typing.NoReturn:
     """
     code = 1
     try:
+        _keep_freed_memory()
         results = []
         try:
             for task in share:
@@ -405,10 +458,14 @@ def _fan_out(fn, tasks: list, workers: int) -> list:
     pipe of its own.  The calling process runs no task, since its resident
     set already holds every page touched at import and a task's streams
     would add to that peak: it only forks, reads each pipe to its end and
-    reaps every worker.  A task's
+    reaps every worker.  A worker keeps the memory its tasks free
+    (``_run_share``), so it holds its largest task's peak from then on but
+    faults it in once; the calling process, which outlives the sweep, keeps
+    its allocator's defaults.  A task's
     exception is raised here with its own type and message; when several
     tasks raise, the first in task order wins, as it would serially.
-    Where ``os.fork`` is missing the tasks run here, in order.
+    Where ``os.fork`` is missing, or for one worker, the tasks run here, in
+    order, with the allocator as it is.
     """
     if workers <= 1 or not hasattr(os, "fork"):
         return [fn(t) for t in tasks]

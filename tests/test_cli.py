@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import dataclasses
 import json
 import math
@@ -209,6 +210,28 @@ def test_parent_bytes_per_task_bound_a_conserve_sweep(tmp_path):
     assert peak / cfg.seeds <= cli.PARENT_BYTES_PER_TASK
 
 
+@pytest.mark.parametrize("trajectory_csv", [False, True])
+@pytest.mark.parametrize("policy, window", [("threshold:auto", 0.0),
+                                            ("windowed-drain", 8 * math.log(32))])
+def test_simulate_cell_peak_within_the_memory_rule(tmp_path, policy, window, trajectory_csv):
+    # the rule's bytes per expected event hold for a whole cell, the
+    # trajectory CSV included; its rows are listed one block at a time
+    lam = 1 - 2**-5
+    cell = {"lambda": lam, "p": 0.5, "window": window, "policy": policy}
+    trajectory_dir = tmp_path if trajectory_csv else None
+    cfg = RunConfig(kind="simulate", p=0.5, lambdas=(lam,), horizon=1e5, master_seed=3)
+    cli._simulate_cell((dataclasses.replace(cfg, horizon=100.0), 0, 0, cell,
+                        trajectory_dir))  # warm caches
+    tracemalloc.start()
+    try:
+        cli._simulate_cell((cfg, 0, 0, cell, trajectory_dir))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    events = (lam + 0.5) * (cfg.horizon + window)
+    assert peak / events <= cli.PEAK_BYTES_PER_EVENT
+
+
 def test_monte_carlo_memory_estimate_against_one_gib(monkeypatch):
     monkeypatch.setattr(os, "sysconf", _one_gib)
     # ~2.8e9 events in each sample's base path
@@ -339,7 +362,8 @@ def test_conserve_defaults_to_auto_policy():
     ("constant:3", 3.0, "windowed-drain", 1),
     ("zero", 0.0, "threshold:x=2", 6),  # q0 above the threshold
 ])
-def test_simulate_trajectory_csv_matches_direct_run(tmp_path, window_rule, window, policy, q0):
+def test_simulate_trajectory_csv_matches_direct_run(tmp_path, monkeypatch, window_rule, window,
+                                                   policy, q0):
     from qadmit.cli import run_config
 
     base = dict(
@@ -348,6 +372,8 @@ def test_simulate_trajectory_csv_matches_direct_run(tmp_path, window_rule, windo
     )
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
     assert run_config(RunConfig(**base, workers=1, out_dir=str(out1))) == EXIT_OK
+    # ~440 rows: one block above, seven of 64 (the last one short) here
+    monkeypatch.setattr(cli, "_TRAJECTORY_BLOCK", 64)
     assert run_config(RunConfig(**base, workers=2, out_dir=str(out2))) == EXIT_OK
     for li, lam in enumerate(base["lambdas"]):
         for rep in range(2):
@@ -468,6 +494,66 @@ def test_fan_out_runs_serially_without_fork(monkeypatch):
     monkeypatch.delattr(os, "fork", raising=False)
     assert _fan_out(lambda task: (task, os.getpid()), [0, 1, 2], 2) == [
         (task, os.getpid()) for task in (0, 1, 2)]
+
+
+def _has_mallopt():
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    return True
+
+
+_needs_fork_and_mallopt = pytest.mark.skipif(
+    not (hasattr(os, "fork") and _has_mallopt()), reason="needs os.fork and libc's mallopt")
+
+
+# each task is a horizon-1e5 threshold:auto cell; it returns its own minor
+# page faults and then the process's peak RSS
+_FAULTS_PER_TASK = """
+import json, resource, sys
+sys.path.insert(0, sys.argv[1])
+from qadmit.cli import _fan_out
+from qadmit.sim import run_simulation
+from qadmit.stream import ModelParams, generate_stream, replication_seed
+
+def one_cell(i):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_simulation(generate_stream(ModelParams(0.96875, 0.5), 1e5, replication_seed(3, i)),
+                   "threshold:auto")
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return after.ru_minflt - before, after.ru_maxrss
+
+print(json.dumps(_fan_out(one_cell, list(range(10)), 2)))
+"""
+
+
+@_needs_fork_and_mallopt
+def test_fan_out_workers_reuse_the_memory_their_tasks_free():
+    # glibc's defaults unmap every freed array of 128 KiB or more, so each
+    # task faulted in its ~3 MB again: ~800 faults against the first's ~1600.
+    # A fresh interpreter, since glibc raises that threshold as a process
+    # frees larger blocks, and pytest's process has freed many
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_TASK, src],
+                         capture_output=True, text=True, check=True)
+    results = json.loads(out.stdout)
+    for k in range(2):  # worker k ran tasks k, k + 2, ...
+        faults, maxrss = zip(*results[k::2])
+        assert all(f < 0.1 * faults[0] for f in faults[1:]), faults
+        assert maxrss[-1] <= maxrss[0], maxrss
+
+
+@_needs_fork_and_mallopt
+def test_only_a_forked_worker_keeps_freed_memory(monkeypatch):
+    def refuse():
+        raise AssertionError("the allocator was set")
+
+    monkeypatch.setattr(cli, "_keep_freed_memory", refuse)
+    assert _fan_out(_square, [0, 1, 2], 1) == [_square(t) for t in (0, 1, 2)]
+    with pytest.raises(RuntimeError, match="worker 0 died"):  # a worker does call it
+        _fan_out(_square, [0, 1, 2], 2)
+    _assert_no_child_left()
 
 
 FAILING_PHASE = ["phase", "--p", "0.5", "--lambdas", "0.875,0.9375", "--horizon", "200",
