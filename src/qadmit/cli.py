@@ -229,6 +229,12 @@ def validate_config(cfg: RunConfig) -> None:
         events = config.params.total_rate * horizon
         _check_memory(events * PEAK_BYTES_PER_EVENT,
                       f"`{cfg.kind}` streams of ~{events:.3g} events", "`phi`, `k` or the window")
+        # an unset q_ref of an explicit threshold x is solved from its law of x + 1 states
+        _, x = parse_policy_spec(cfg.policy)
+        if cfg.q_ref is None and x is not None:
+            _check_memory((x + 1) * LAW_BYTES_PER_STATE,
+                          f"the {x + 1} states of the birth-death law of `{cfg.policy}`",
+                          "the threshold or set `q_ref`")
     if cfg.kind in ("simulate", "phase", "conserve"):
         # the largest cell's expected events, (lambda + 1 - p) * (horizon + W),
         # times the cells run at once, plus what the parent holds per task
@@ -251,6 +257,10 @@ def validate_config(cfg: RunConfig) -> None:
 # MB over 30 threshold:auto cells of horizon 1e6, flat over 100 of 1e5 each).
 # Monte Carlo streams count at the same rate.
 PEAK_BYTES_PER_EVENT = 48
+
+# Peak bytes per state of `bd_stationary`'s law (tracemalloc: 40.7 at x = 1e5,
+# 40.1 at 1e6), rounded up as the per-event bound is.
+LAW_BYTES_PER_STATE = 48
 
 # Bytes the parent of a sweep holds per (cell, seed) task: the task tuple, the
 # summary row a worker returns and the CSV row built from it.  The bound the

@@ -204,15 +204,27 @@ class AdmitAllPolicy:
         base -= low
 
 
+def _checked_threshold(x) -> int:
+    """``x`` as an int, if it is an integer in [0, 2**62]; a bool is refused.
+
+    2**62 is the bound ``q0`` has: either plus the events of any stream fits int64.
+    """
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+        raise ConfigurationError(f"threshold must be an integer, got {x!r}")
+    if x < 0:
+        raise ConfigurationError(f"threshold must be >= 0, got {x}")
+    if x > 2**62:
+        raise ConfigurationError(f"threshold must be <= 2**62, got {x}")
+    return int(x)
+
+
 class ThresholdPolicy:
     """Divert exactly when the pre-arrival queue equals the threshold x."""
 
     lookahead = 0.0
 
     def __init__(self, x: int):
-        if x < 0:
-            raise ConfigurationError(f"threshold must be >= 0, got {x}")
-        self.x = x
+        self.x = _checked_threshold(x)
 
     def reset(self) -> None:
         pass
@@ -315,7 +327,7 @@ class WindowedDrainPolicy:
 def parse_policy_spec(spec: str) -> tuple[str, int | None]:
     """Split a selection string into (kind, threshold) without building anything.
 
-    Accepted forms: ``threshold:x=<int>`` (x >= 0), ``threshold:auto``,
+    Accepted forms: ``threshold:x=<int>`` (0 <= x <= 2**62), ``threshold:auto``,
     ``windowed-drain``, ``admit-all``.  The threshold is ``None`` for
     ``threshold:auto`` and for the non-threshold kinds.  Needs no model
     parameters, so a config can be checked before anything runs.
@@ -329,9 +341,10 @@ def parse_policy_spec(spec: str) -> tuple[str, int | None]:
             x = int(spec.removeprefix("threshold:x="))
         except ValueError as exc:
             raise ConfigurationError(f"bad threshold in policy spec {spec!r}") from exc
-        if x < 0:
-            raise ConfigurationError(f"threshold must be >= 0, got {x}")
-        return "threshold", x
+        try:
+            return "threshold", _checked_threshold(x)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{exc} in policy spec {spec!r}") from None
     raise ConfigurationError(f"unknown policy spec {spec!r}")
 
 

@@ -39,6 +39,21 @@ def test_threshold_decide_examples():
         ThresholdPolicy(-1)
 
 
+@pytest.mark.parametrize("x", [1.5, True, np.True_, "3", 2**62 + 1],
+                         ids=["float", "bool", "numpy-bool", "str", "past-2**62"])
+def test_threshold_policy_takes_only_an_integer_it_can_hold(x):
+    # a float threshold clips the kernel's queue at 1 while decide() never
+    # diverts; a bool would run as x = 1
+    with pytest.raises(ConfigurationError, match="threshold must be"):
+        ThresholdPolicy(x)
+
+
+def test_threshold_policy_takes_numpy_integers():
+    policy = ThresholdPolicy(np.int64(3))
+    assert policy.x == 3 and type(policy.x) is int
+    assert ThresholdPolicy(2**62).x == 2**62
+
+
 def test_threshold_zero_degenerate_queue():
     stream = generate_stream(PARAMS, 2000.0, seed=1)
     traj, trace, _ = run_simulation(stream, "threshold:x=0")

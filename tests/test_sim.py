@@ -455,6 +455,13 @@ def test_threshold_scan_matches_generic_property(marks, q0, x):
     _assert_threshold_matches_generic(marks, q0, x)
 
 
+def test_threshold_numpy_integer_kernel_matches_generic():
+    s = generate_stream(ModelParams(0.9, 0.5), 200.0, 1)
+    traj, _, _ = _assert_kernel_matches_generic(
+        s, ThresholdPolicy(np.int64(3)), ThresholdPolicy(np.int64(3)), 0)
+    assert traj.post_event_queue.max() == 3
+
+
 _B = policy_module._SCAN_BLOCK
 
 # nb = 1 runs no scan pass; nb = 2**k ends on a pass that covers half the

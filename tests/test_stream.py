@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qadmit import stream as stream_module
 from qadmit.errors import ConfigurationError, OutOfRangeError
 from qadmit.stream import (
     SEED_BLOCK,
@@ -167,19 +166,6 @@ def test_generate_stream_matches_out_of_place_build(seed, horizon, short):
     s = generate_stream(PARAMS, horizon, rng())
     assert s.times.tobytes() == times.tobytes()
     assert np.array_equal(s.marks, marks)
-
-
-@pytest.mark.parametrize("blocks", ["n < block", "n == block", "n == block + 1", "several"])
-def test_mark_blocks_equal_one_whole_draw(monkeypatch, blocks):
-    # the mark uniforms are drawn a block at a time; the block length is set
-    # around this stream's event count, since the count cannot be chosen
-    times, marks, _ = _out_of_place_build(PARAMS, 3000.0, np.random.default_rng(4))
-    n = times.size
-    block = {"n < block": n + 1, "n == block": n, "n == block + 1": n - 1, "several": n // 5}
-    monkeypatch.setattr(stream_module, "_MARK_BLOCK", block[blocks])
-    s = generate_stream(PARAMS, 3000.0, 4)
-    assert s.times.tobytes() == times.tobytes()
-    assert s.marks.dtype == np.int8 and np.array_equal(s.marks, marks)
 
 
 @pytest.mark.parametrize("build", [
