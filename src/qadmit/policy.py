@@ -209,7 +209,7 @@ def _checked_threshold(x) -> int:
 
     2**62 is the bound ``q0`` has: either plus the events of any stream fits int64.
     """
-    if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ConfigurationError(f"threshold must be an integer, got {x!r}")
     if x < 0:
         raise ConfigurationError(f"threshold must be >= 0, got {x}")
