@@ -3,9 +3,12 @@
 The queue under a threshold policy is a birth-death chain truncated at the
 threshold, so its stationary law, mean queue, and diversion rate have exact
 closed forms, computed from running products of the birth-death ratio
-rather than in log space, with the same bits on every CPU.  Those feed the
-optimal-threshold scaling table, which makes the logarithmic growth of the
-best online queue length directly checkable.
+rather than in log space, with the same bits on every CPU.  The law's
+geometric form also gives the least feasible threshold in closed form,
+which ``policy.min_feasible_threshold`` starts from and settles against the
+float law by a short walk, and which validation counts a run's law by.
+Those feed the optimal-threshold scaling table, which makes the logarithmic
+growth of the best online queue length directly checkable.
 The module also provides exact Poisson upper tails for the large-deviation
 rate fit; everything here is pure and reentrant.
 """
@@ -67,6 +70,21 @@ def bd_stationary(params: ModelParams, x: int) -> BirthDeathSolution:
         mean_queue=float((np.arange(x + 1) * probs).sum()),
         diversion_rate=params.arrival_rate * float(probs[x]),
     )
+
+
+def closed_form_threshold(params: ModelParams) -> int:
+    """The least x whose exact diversion rate fits the budget, read off the law.
+
+    With r = (1 - p)/lambda < 1 the rate is lambda (1 - r) / (1 - r**(x+1)),
+    which is at most p exactly when r**(x+1) <= (1 - lambda)/p, so
+    x = max(ceil(ln((1 - lambda)/p) / ln r) - 1, 0).  Both logarithms are
+    taken as log1p of t/p and t/lambda, t = (1 - p) - lambda, so that lambda
+    near 1 - p keeps its digits.  ``bd_stationary``'s float sums can move
+    the least feasible x a few states off this value.
+    """
+    t = params.service_rate - params.arrival_rate
+    ratio = math.log1p(t / params.divert_budget) / math.log1p(t / params.arrival_rate)
+    return max(math.ceil(ratio) - 1, 0)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .analytic import online_scaling_table
+from .analytic import closed_form_threshold, online_scaling_table
 from .errors import ConfigurationError
 from .excursion import (
     DEFAULT_PILOT_HORIZON,
@@ -229,12 +229,14 @@ def validate_config(cfg: RunConfig) -> None:
         events = config.params.total_rate * horizon
         _check_memory(events * PEAK_BYTES_PER_EVENT,
                       f"`{cfg.kind}` streams of ~{events:.3g} events", "`phi`, `k` or the window")
-        # an unset q_ref of an explicit threshold x is solved from its law of x + 1 states
-        _, x = parse_policy_spec(cfg.policy)
-        if cfg.q_ref is None and x is not None:
-            _check_memory((x + 1) * LAW_BYTES_PER_STATE,
-                          f"the {x + 1} states of the birth-death law of `{cfg.policy}`",
-                          "the threshold or set `q_ref`")
+        # a threshold policy's law gives an unset q_ref, and threshold:auto's
+        # gives x* to every diagnostic; it is solved before any sample runs
+        policy, x = parse_policy_spec(cfg.policy)
+        finds_x_star = x is None and cfg.kind == "diagnostic"
+        if policy == "threshold" and (cfg.q_ref is None or finds_x_star):
+            _check_law(cfg.policy, cfg.lambdas, cfg.p)
+    if cfg.kind == "analytic":
+        _check_law("threshold:auto", cfg.lambdas, cfg.p)  # one lambda at a time
     if cfg.kind in ("simulate", "phase", "conserve"):
         # the largest cell's expected events, (lambda + 1 - p) * (horizon + W),
         # times the cells run at once, plus what the parent holds per task
@@ -242,9 +244,36 @@ def validate_config(cfg: RunConfig) -> None:
         events = max((c["lambda"] + 1.0 - c["p"]) * (cfg.horizon + c["window"]) for c in cells)
         tasks = len(cells) * cfg.seeds
         workers = _pool_size(cfg, tasks)
-        _check_memory(events * workers * PEAK_BYTES_PER_EVENT + tasks * PARENT_BYTES_PER_TASK,
+        # a threshold:auto cell solves its law while its stream is alive, in
+        # every worker at once; the largest law is checked alone first
+        auto = [c["lambda"] for c in cells if c["policy"] == "threshold:auto"]
+        law = _check_law("threshold:auto", auto, cfg.p, workers) if auto else 0
+        _check_memory(events * workers * PEAK_BYTES_PER_EVENT + law
+                      + tasks * PARENT_BYTES_PER_TASK,
                       f"{workers} cells of ~{events:.3g} events at once and {tasks} (cell, seed) "
                       "results", "`horizon`, `workers` or `seeds`")
+
+
+def _check_law(policy: str, lambdas, p: float, copies: int = 1) -> int:
+    """Bytes of `copies` of the largest birth-death law `policy` solves over `lambdas`.
+
+    Rejects them if they would not fit at once.  An explicit threshold x
+    solves x + 1 states.  threshold:auto walks to x* from
+    ``closed_form_threshold``'s x_hat through laws of at most
+    max(x_hat, x*) + 1 states, a few more than the x_hat + 1 counted here
+    (at most 3 on every pair measured), which the margin of
+    LAW_BYTES_PER_STATE over the measured ~41 bytes a state covers; a law
+    small enough for that to fail takes a few KB.
+    """
+    _, x = parse_policy_spec(policy)
+    if x is None:
+        x = max(closed_form_threshold(ModelParams(lam, p)) for lam in lambdas)
+    law = (x + 1) * LAW_BYTES_PER_STATE * copies
+    _check_memory(law, f"the {x + 1} states of the birth-death law of `{policy}`"
+                  + (f" in each of {copies} workers" if copies > 1 else ""),
+                  "the threshold or set `q_ref`" if policy != "threshold:auto"
+                  else "`lambdas` or raise `p`")
+    return law
 
 
 # Peak bytes per stream event of one simulated cell: the bound the tests hold

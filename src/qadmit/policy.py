@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import bd_stationary
+from .analytic import bd_stationary, closed_form_threshold
 from .errors import ConfigurationError
 from .stream import EventStream, ModelParams
 
@@ -64,24 +64,22 @@ def min_feasible_threshold(params: ModelParams) -> int:
 
     The rate lambda * pi_x(x) decreases in x toward the drift
     lambda - (1 - p) < p, so the feasible thresholds are x* and all above it.
-    Doubling through x = 0, 1, 3, 7, ... meets a feasible x after k + 1
-    birth-death solutions, k = ceil(log2(x* + 1)), and bisection between it
-    and the last infeasible x takes at most k more.
+    ``closed_form_threshold`` gives x* from the exact law; the rate that
+    decides here is the float one of ``bd_stationary``, whose sums round,
+    so a short walk from that start settles x*: down while x - 1 fits, then
+    up while x does not.  That takes |x_hat - x*| + 2 laws of at most
+    max(x_hat, x*) + 1 states.
     """
 
     def feasible(x: int) -> bool:
         return bd_stationary(params, x).diversion_rate <= params.divert_budget
 
-    lo, hi = -1, 0  # lo is infeasible (or -1), hi the candidate
-    while not feasible(hi):
-        lo, hi = hi, 2 * hi + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    x = closed_form_threshold(params)
+    while x > 0 and feasible(x - 1):
+        x -= 1
+    while not feasible(x):
+        x += 1
+    return x
 
 
 def _free_walk(marks: np.ndarray, path: np.ndarray) -> np.ndarray:

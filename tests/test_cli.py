@@ -232,6 +232,47 @@ def test_simulate_cell_peak_within_the_memory_rule(tmp_path, policy, window, tra
     assert peak / events <= cli.PEAK_BYTES_PER_EVENT
 
 
+# Events of each Monte Carlo task below: the rule matters only for runs this
+# long or longer.  Windowed-drain's 2**15-event block arrays cost ~2 MB whatever
+# the stream, so shorter runs read more per event (a pilot of horizon 5e4 + W:
+# ~63; a diagnostic sample at the default warm-up of 1e5 events: ~52) while
+# needing only a few MB.
+_MC_EVENTS = 2e5
+
+
+@pytest.mark.parametrize("task", ["excursion", "diagnostic-threshold:auto",
+                                  "diagnostic-windowed-drain", "pilot-run"])
+def test_monte_carlo_peak_within_the_memory_rule(task):
+    # a run holds one such task at a time; n is the events validate_config counts
+    from qadmit import excursion
+
+    window = 8 * math.log(32)
+    params = ModelParams(1 - 2**-5, 0.5, window)
+    rate = params.total_rate
+    config = excursion.ExcursionConfig(params, k=1.0, epsilon=0.05, zeta=1.0, phi=1.0, q_ref=2.0)
+
+    def run(n):
+        if task == "excursion":  # a base path of n events: 3 W, then the deadline
+            longer = dataclasses.replace(config, phi=n / rate / window - 3.0)
+            next(excursion._sampled_events(longer, 1, seed=3))
+        elif task == "pilot-run":
+            excursion.reference_queue(params, "windowed-drain", seed=3,
+                                      pilot_horizon=n / rate - window)
+        else:
+            warmup = n / rate - config.horizon_needed - window
+            excursion.diversion_idling_diagnostic(config, task.removeprefix("diagnostic-"), 1,
+                                                  seed=3, warmup_time=warmup)
+
+    run(_MC_EVENTS / 100)  # warm caches
+    tracemalloc.start()
+    try:
+        run(_MC_EVENTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / _MC_EVENTS <= cli.PEAK_BYTES_PER_EVENT
+
+
 def test_monte_carlo_memory_estimate_against_one_gib(monkeypatch):
     monkeypatch.setattr(os, "sysconf", _one_gib)
     # ~2.8e9 events in each sample's base path
@@ -910,6 +951,54 @@ def test_explicit_threshold_law_counted_only_when_solved(kind):
     # an explicit q_ref solves no law, so its size is not counted
     cfg = config_from_mapping(base | {"policy": "threshold:x=1000000000000", "q_ref": 2.0})
     assert cfg.q_ref == 2.0
+
+
+# x_hat is ~2.6e9 at p = 1e-9 and lambda = 1 - 1e-10, a law of ~114 GiB; the
+# window and epsilon only let the Monte Carlo kinds' geometry through
+_HUGE_AUTO_LAW = ["--p", "1e-9", "--lambdas", "0.9999999999", "--window-rule", "constant:2",
+                  "--epsilon", "1e-10"]
+
+
+@pytest.mark.parametrize("kind, q_ref", [
+    ("simulate", None), ("analytic", None), ("phase", None), ("conserve", None),
+    ("excursion", None), ("diagnostic", None), ("diagnostic", "2.0"),
+])
+def test_threshold_auto_law_counted_before_any_file(tmp_path, capsys, kind, q_ref):
+    # validation alone rejects it, so nothing is solved or allocated
+    out = tmp_path / kind
+    args = [kind, *_HUGE_AUTO_LAW, "--out", str(out)]
+    if q_ref is not None:
+        args += ["--q-ref", q_ref]
+    assert main(args) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err.strip())
+    assert "birth-death law of `threshold:auto`" in err["error"]
+    assert "physical memory" in err["error"]
+    assert not (out / "manifest.json").exists()
+
+
+def test_threshold_auto_law_uncounted_where_none_is_solved():
+    # an excursion with q_ref set needs no policy, and windowed-drain no law
+    base = dict(kind="excursion", p=1e-9, lambdas=[1 - 1e-10], window_rule="constant:2",
+                epsilon=1e-10)
+    assert config_from_mapping(base | {"q_ref": 2.0}).q_ref == 2.0
+    for kind in ("simulate", "phase"):
+        config_from_mapping(base | {"kind": kind, "policy": "windowed-drain", "horizon": 10.0})
+    # conserve runs threshold:auto only in its zero-window cells
+    config_from_mapping(base | {"kind": "conserve", "c_values": [1.0], "horizon": 10.0})
+    with pytest.raises(ConfigurationError, match="birth-death law"):
+        config_from_mapping(base | {"kind": "conserve", "c_values": [0.0, 1.0],
+                                    "horizon": 10.0})
+
+
+def test_threshold_auto_law_counted_in_every_worker(monkeypatch):
+    # x_hat ~ 2.56e6 at p = 1e-6, lambda = 1 - 1e-7: ~123 MB of law per worker
+    monkeypatch.setattr(os, "sysconf", _physical_memory(2**28))
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    base = dict(kind="phase", p=1e-6, lambdas=[1 - 5e-7, 1 - 1e-7], horizon=10.0, seeds=4)
+    config_from_mapping(base | {"workers": 2})
+    with pytest.raises(ConfigurationError, match="in each of 4 workers"):
+        config_from_mapping(base | {"workers": 4})
+    config_from_mapping(base | {"kind": "analytic"})
 
 
 @pytest.mark.parametrize("kind", ["excursion", "diagnostic"])

@@ -15,11 +15,12 @@ time has no such law and stays out.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qadmit.excursion import ExcursionConfig, estimate_event_probs
+from qadmit.excursion import ExcursionConfig, e5_rate_fit, estimate_event_probs
 from qadmit.stream import ModelParams
 
 
@@ -112,3 +113,20 @@ def test_event_estimates_within_four_se_of_exact_laws(name):
         assert 0.01 < exact < 0.99, (event, exact)
         est = report.estimates[event]
         assert abs(est.mean - exact) <= 4.0 * est.se, (event, est.mean, est.se, exact)
+
+
+def test_criterion_06_slope_within_four_se_of_the_exact_law():
+    # acceptance 06's own fit (its geometry, windows, samples and seed) against
+    # the least-squares slope of -ln P(e5) through the exact laws (2.181)
+    config = ExcursionConfig(params=ModelParams(0.9, 0.5, 1.0), k=1.0, epsilon=0.35, zeta=0.5,
+                             phi=60.0, q_ref=0.1)
+    windows, n = np.array([0.5, 0.9, 1.3, 1.7, 2.1]), 8000
+    exact = -np.log([crash_law(replace(config, params=replace(config.params, window=w)))
+                     for w in windows])
+    weights = (windows - windows.mean()) / ((windows - windows.mean()) ** 2).sum()
+    fit = e5_rate_fit(config, windows, n, seed=6000)
+    assert not fit.dropped
+    # delta method: -ln of a hit fraction P has variance ~(1 - P) / (n P)
+    hit_fractions = np.array([point[1] for point in fit.points])
+    se = math.sqrt((weights**2 * (1.0 - hit_fractions) / (n * hit_fractions)).sum())
+    assert abs(fit.slope - weights @ exact) <= 4.0 * se, (fit.slope, weights @ exact, se)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qadmit import policy as policy_module
-from qadmit.analytic import bd_stationary
+from qadmit.analytic import bd_stationary, closed_form_threshold
 from qadmit.errors import ConfigurationError
 from qadmit.policy import (
     AdmitAllPolicy,
@@ -102,6 +102,43 @@ def test_min_feasible_threshold_matches_the_linear_scan():
                     p, lam)
                 pairs += 1
     assert pairs == 661
+
+
+def _linear_scan_grid():
+    """The 661 (lambda, p) pairs of the linear-scan test above."""
+    for p in (0.02, 0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+        gaps = [2.0**-k for k in range(1, 53)] + [0.75, 0.9, 0.99]
+        for lam in [1 - p * g for g in gaps] + [math.nextafter(1.0, 0.0)]:
+            if 1 - p < lam < 1:
+                yield ModelParams(lam, p)
+
+
+def test_min_feasible_threshold_walks_from_the_closed_form(monkeypatch):
+    # |x_hat - x*| + 2 laws at most, the largest of max(x_hat, x*) + 1 states
+    calls = []
+
+    def counted(params, x):
+        calls.append(x)
+        return bd_stationary(params, x)
+
+    monkeypatch.setattr(policy_module, "bd_stationary", counted)
+    pairs = 0
+    for params in _linear_scan_grid():
+        x_hat = closed_form_threshold(params)
+        calls.clear()
+        x_star = min_feasible_threshold(params)
+        assert len(calls) <= abs(x_hat - x_star) + 2, (params, x_hat, x_star, calls)
+        assert max(calls) <= max(x_hat, x_star), (params, x_hat, x_star, calls)
+        pairs += 1
+    assert pairs == 661
+
+
+def test_closed_form_threshold_keeps_its_digits_near_critical_load():
+    # one ulp above lambda = 1 - p both logarithms are ~1e-16 across, so
+    # ln((1 - lambda)/p) in place of log1p would miss x* by ~1e3 at p = 1e-4
+    for p in (1e-4, 1e-3, 0.01):
+        params = ModelParams(math.nextafter(1 - p, 1.0), p)
+        assert closed_form_threshold(params) == min_feasible_threshold(params) == round(1 / p) - 1
 
 
 def test_min_feasible_threshold_solves_logarithmically_many_laws(monkeypatch):
