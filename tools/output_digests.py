@@ -73,6 +73,12 @@ LATER_CONFIGS = [
     # 2**15-event block edge
     ("phase-drain-blocks", "phase --p 0.5 --lambdas 0.9375 --window-rule log:8 "
                            "--policy windowed-drain --horizon 25000 --seeds 2"),
+    # barrier (drift - epsilon) B + zeta + 4W = 2.0 exactly: e5 asks the
+    # integer walk to go below -2, and a walk at -2 is no hit
+    ("excursion-integer-barrier", "excursion --p 0.5 --lambdas 0.875 "
+                                  "--window-rule constant:0.25 --k 8 --epsilon 0.125 "
+                                  "--zeta 0.5 --phi 40 --q-ref 0 --n-samples 200 "
+                                  "--per-sample-csv"),
 ]
 
 
