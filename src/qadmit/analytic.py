@@ -5,10 +5,10 @@ threshold, so its stationary law, mean queue, and diversion rate have exact
 closed forms, computed from running products of the birth-death ratio
 rather than in log space, with the same bits on every CPU.  The law's
 geometric form also gives the least feasible threshold in closed form,
-which ``policy.min_feasible_threshold`` starts from and settles against the
+which ``policy.min_feasible_law`` starts from and settles against the
 float law by a short walk, and which validation counts a run's law by.
-Those feed the optimal-threshold scaling table, which makes the logarithmic
-growth of the best online queue length directly checkable.
+The walk's last law feeds the optimal-threshold scaling table, which makes
+the logarithmic growth of the best online queue length directly checkable.
 The module also provides exact Poisson upper tails for the large-deviation
 rate fit; everything here is pure and reentrant.
 """
@@ -102,23 +102,22 @@ class ScalingRow:
 def online_scaling_table(p: float, lambdas) -> list[ScalingRow]:
     """Optimal-threshold mean queue against its predicted log scaling.
 
-    For each arrival rate the minimal feasible threshold is found, the
-    exact mean queue computed, and the ratio to
-    ``log_{1/(1-p)} (1/(1-lambda))`` reported; the ratio tending to 1 is
-    the heavy-traffic divergence law for online policies.
+    For each arrival rate one walk finds the minimal feasible threshold and
+    its exact law, whose mean queue is reported with its ratio to
+    ``log_{1/(1-p)} (1/(1-lambda))``; the ratio tending to 1 is the
+    heavy-traffic divergence law for online policies.
     """
-    from .policy import min_feasible_threshold
+    from .policy import min_feasible_law
 
     rows = []
     for lam in sorted(lambdas):
         params = ModelParams(arrival_rate=lam, divert_budget=p)
-        x_star = min_feasible_threshold(params)
-        sol = bd_stationary(params, x_star)
+        sol = min_feasible_law(params)
         log_term = log_scale(lam) / log_scale(p)
         rows.append(
             ScalingRow(
                 arrival_rate=lam,
-                x_star=x_star,
+                x_star=sol.threshold,
                 q_opt=sol.mean_queue,
                 log_term=log_term,
                 ratio=sol.mean_queue / log_term,

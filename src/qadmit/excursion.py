@@ -26,7 +26,12 @@ per sample i of a range.  Sample i is seeded exactly as
 re-seeds one Generator in place; ``generate_stream`` builds each stream
 through its trusted constructor, without re-checking what generation
 guarantees.  The estimators score the streams through ``_sampled_events``,
-and the diagnostic simulates a policy on them.  The event estimator and
+and the diagnostic simulates a policy on them.  e5 compares the integer
+walk with an integer: it lies below -barrier exactly when it lies below
+-floor(barrier), so ``ExcursionConfig.barrier_steps`` keeps floor(barrier),
+clamped to 2**62 (no walk comes near it, and the comparison stays in int64
+on every numpy), and each sample makes one comparison instead of a
+subtraction and a float comparison.  The event estimator and
 the diagnostic return per-sample rows beside their report; the zeta sweep
 and the rate fit return estimates alone.  The diagnostic takes its wasted
 tokens from the engine's rule, ``sim.wasted_tokens``.  Where an unset q_ref
@@ -44,7 +49,7 @@ import numpy as np
 
 from .analytic import bd_stationary
 from .errors import ConfigurationError, EstimationError, OutOfRangeError
-from .policy import make_policy, parse_policy_spec
+from .policy import make_policy, min_feasible_law, parse_policy_spec
 from .sim import last_low_time, run_simulation, wasted_tokens, window_diversions
 from .stream import (EventStream, ModelParams, count_events, generate_stream,
                      replication_generators, replication_seed)
@@ -104,6 +109,15 @@ class ExcursionConfig:
         """Depth the post-U3 walk must undershoot for the stopping time."""
         w, b = self.params.window, self.buffer_len
         return 6.0 * self.q_ref + (self.params.drift - self.epsilon) * b + self.zeta + 4.0 * w
+
+    @cached_property
+    def barrier_steps(self) -> int:
+        """floor(barrier), clamped to 2**62 so that ``p - barrier_steps`` fits int64.
+
+        An integer walk lies below -barrier exactly when it lies below
+        -floor(barrier); a walk of n events never comes near -2**62.
+        """
+        return math.floor(min(self.barrier, 2.0**62))
 
     @cached_property
     def deadline(self) -> float:
@@ -180,7 +194,7 @@ def evaluate_events(
         after -= u
         slack = max(after.item(after.argmax()), slack)  # argmax skips max()'s Python wrapper
     w2 = 2.0 * config.params.window
-    hits = prefix[n3 + 1 :] - p3 < -config.barrier
+    hits = prefix[n3 + 1 :] < p3 - config.barrier_steps
     k = hits.argmax().item() if hits.size else 0
     z = times.item(n3 + k) - t3 if hits.size and hits[k] else None
     return EventIndicators(e1=slack <= config.zeta, e3=p1 - p0 <= w2, e4=p3 - p2 <= w2,
@@ -273,12 +287,13 @@ def estimate_event_probs(
     so callers can reuse the same draws (e.g. for independence checks).
     """
     _check_samples(n_samples, MIN_EVENT_SAMPLES)
-    rows = np.empty((n_samples, 4), dtype=bool)
+    indicators = []
     z_hits = []
-    for i, ev in enumerate(_sampled_events(config, n_samples, seed)):
-        rows[i] = (ev.e1, ev.e3, ev.e4, ev.e5)
+    for ev in _sampled_events(config, n_samples, seed):
+        indicators.append((ev.e1, ev.e3, ev.e4, ev.e5))
         if ev.z_value is not None:
             z_hits.append(ev.z_value)
+    rows = np.array(indicators, dtype=bool)
 
     estimates = {
         name: EventEstimate.from_hits(name, int(rows[:, j].sum()), n_samples)
@@ -442,9 +457,11 @@ def reference_queue(params: ModelParams, policy_spec: str, seed: int = 0,
     visible.
     """
     source = q_ref_source(policy_spec)
-    policy = make_policy(policy_spec, params)
     if source == "bd-oracle":
-        return bd_stationary(params, policy.x).mean_queue, source
+        _, x = parse_policy_spec(policy_spec)
+        law = min_feasible_law(params) if x is None else bd_stationary(params, x)
+        return law.mean_queue, source
+    policy = make_policy(policy_spec, params)
     # the key (seed, 0, 0, 1) ends in a nonzero word, so SeedSequence's zero
     # padding makes it equal no sample key (seed, i) and no sweep key
     st = generate_stream(params, pilot_horizon + params.window, replication_seed(seed, 0, 0, 1))

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import bd_stationary, closed_form_threshold
+from .analytic import BirthDeathSolution, bd_stationary, closed_form_threshold
 from .errors import ConfigurationError
 from .stream import EventStream, ModelParams
 
@@ -59,27 +59,35 @@ class PolicyState:
     now: float
 
 
-def min_feasible_threshold(params: ModelParams) -> int:
-    """Smallest threshold whose stationary diversion rate fits the budget.
+def min_feasible_law(params: ModelParams) -> BirthDeathSolution:
+    """Stationary law of the smallest threshold whose diversion rate fits the budget.
 
     The rate lambda * pi_x(x) decreases in x toward the drift
     lambda - (1 - p) < p, so the feasible thresholds are x* and all above it.
     ``closed_form_threshold`` gives x* from the exact law; the rate that
     decides here is the float one of ``bd_stationary``, whose sums round,
     so a short walk from that start settles x*: down while x - 1 fits, then
-    up while x does not.  That takes |x_hat - x*| + 2 laws of at most
-    max(x_hat, x*) + 1 states.
+    up while x does not.  That takes at most |x_hat - x*| + 2 laws of at
+    most max(x_hat, x*) + 1 states, and the last law that fit is returned,
+    so a caller that needs x*'s law solves it no second time.
     """
 
-    def feasible(x: int) -> bool:
-        return bd_stationary(params, x).diversion_rate <= params.divert_budget
+    def fits(law: BirthDeathSolution) -> bool:
+        return law.diversion_rate <= params.divert_budget
 
     x = closed_form_threshold(params)
-    while x > 0 and feasible(x - 1):
-        x -= 1
-    while not feasible(x):
-        x += 1
-    return x
+    law = None
+    while x > 0 and fits(lower := bd_stationary(params, x - 1)):
+        law, x = lower, x - 1
+    if law is None:  # the walk never stepped down: x is x* or below it
+        while not fits(law := bd_stationary(params, x)):
+            x += 1
+    return law
+
+
+def min_feasible_threshold(params: ModelParams) -> int:
+    """Smallest threshold whose stationary diversion rate fits the budget (``min_feasible_law``)."""
+    return min_feasible_law(params).threshold
 
 
 def _free_walk(marks: np.ndarray, path: np.ndarray) -> np.ndarray:

@@ -16,6 +16,12 @@ through one trusted constructor that skips the checks generation already
 guarantees, and draws all of a stream's mark uniforms in one call; with
 those uniforms, generation peaks at ~17 bytes per event.
 
+The epochs and the walk are running sums taken in place with
+``np.add.accumulate(x, out=x)``.  ``ndarray.cumsum`` runs the same ufunc
+loop, so the bits are the same, but it reaches that loop through a generic
+accumulate call that costs ~0.7 us more per call, and an excursion sample
+of ~123 events takes two such sums whose work is a few hundred ns.
+
 Replication i of a run is seeded by ``replication_seed(master, i)``.
 ``replication_generators`` yields the same Generator states for a whole
 range of i, hashing a block of indices at a time with numpy's SeedSequence
@@ -32,6 +38,7 @@ import csv
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import numpy.random  # noqa: F401 - numpy 2 loads it lazily; load it once, before a pool forks
@@ -57,7 +64,12 @@ class ModelParams:
 
     The overload regime requires ``1 - divert_budget < arrival_rate < 1``,
     so the net-input drift is strictly positive while the post-diversion
-    load can still be stabilized.
+    load can still be stabilized.  The fields are frozen, so the derived
+    rates are computed on first read and kept: a run builds its params once
+    and reads them per sample, where a plain property chain cost ~0.1-0.2 us
+    a read.  Kept rates live beside the fields but are no fields, so
+    ``==``, ``hash``, ``repr`` and ``dataclasses.asdict`` ignore them, and
+    ``dataclasses.replace`` computes them afresh.
     """
 
     arrival_rate: float
@@ -75,21 +87,21 @@ class ModelParams:
         if not (w >= 0.0 and math.isfinite(w)):
             raise ConfigurationError(f"window must be finite and >= 0, got {w}")
 
-    @property
+    @cached_property
     def service_rate(self) -> float:
         return 1.0 - self.divert_budget
 
-    @property
+    @cached_property
     def total_rate(self) -> float:
         """Rate of the merged event stream."""
         return self.arrival_rate + self.service_rate
 
-    @property
+    @cached_property
     def drift(self) -> float:
         """Mean net input per unit time; positive in overload."""
         return self.arrival_rate - self.service_rate
 
-    @property
+    @cached_property
     def arrival_fraction(self) -> float:
         """Probability that a merged-stream event is an arrival."""
         return self.arrival_rate / self.total_rate
@@ -156,8 +168,9 @@ class EventStream:
 
     @property
     def prefix(self) -> np.ndarray:
-        # a plain property: functools.cached_property takes a lock on
-        # Python 3.11 and costs about 1 us per stream
+        # a plain property: functools.cached_property takes a lock on its
+        # first read on Python 3.11 (~0.6 us), and a stream's walk is read
+        # about once, so unlike ModelParams' rates it would gain nothing
         prefix = self._prefix
         if prefix is None:
             # prefix[n] = sum of the first n marks, so S over events (i, j] is
@@ -165,7 +178,7 @@ class EventStream:
             # cumsum from int8 is about 3x slower)
             prefix = np.zeros(self.marks.size + 1, dtype=np.int64)
             prefix[1:] = self.marks
-            prefix.cumsum(out=prefix)
+            np.add.accumulate(prefix, out=prefix)
             self._prefix = prefix
         return prefix
 
@@ -318,7 +331,7 @@ def generate_stream(
         # epochs are built in the gap buffer; the first chunk skips the
         # offset, since adding 0.0 is exact
         part = rng.exponential(scale=1.0 / rate, size=chunk)
-        part.cumsum(out=part)
+        np.add.accumulate(part, out=part)
         if chunks:
             part += t_last
         chunks.append(part)

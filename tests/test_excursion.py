@@ -223,6 +223,65 @@ def test_e5_barrier_monotone_in_q_ref():
     assert hits_doubled < hits_base
 
 
+# the integer-barrier geometry of test_excursion_laws: barrier exactly 2.0 at q_ref = 0
+INTEGER_BARRIER = ExcursionConfig(params=ModelParams(0.875, 0.5, 0.25), k=8.0, epsilon=0.125,
+                                  zeta=0.5, phi=40.0, q_ref=0.0)
+
+
+def _with_barrier(config, target):
+    """``config`` with its q_ref moved until the barrier is exactly ``target``."""
+    q_ref = (target - config.barrier) / 6.0
+    for _ in range(64):
+        moved = dataclasses.replace(config, q_ref=q_ref)
+        if moved.barrier == target:
+            return moved
+        q_ref = math.nextafter(q_ref, math.inf if moved.barrier < target else -math.inf)
+    raise AssertionError(f"no q_ref gives the barrier {target!r}")
+
+
+def _float_barrier_rule(stream, config):
+    """(e5, z) by the float comparison walk < -barrier, the rule as the paper states it."""
+    u3 = config.markers[2]
+    n3 = int(np.searchsorted(stream.times, u3, side="right"))
+    walk = stream.prefix[n3 + 1 :] - stream.prefix[n3]
+    below = np.flatnonzero(walk < -config.barrier)
+    z = float(stream.times[n3 + below[0]]) - u3 if below.size else None
+    return z is not None and z <= config.deadline, z, int(walk.min(initial=0))
+
+
+@pytest.mark.parametrize("barrier", [2.0, math.nextafter(2.0, math.inf),
+                                     math.nextafter(3.0, 0.0)])
+def test_e5_integer_barrier_matches_the_float_rule(barrier):
+    # e5 compares the integer walk with -floor(barrier); the walk lies below
+    # -barrier exactly when it lies below -floor(barrier)
+    config = _with_barrier(INTEGER_BARRIER, barrier)
+    assert config.barrier_steps == math.floor(barrier)
+    lows = set()
+    hits = 0
+    for i in range(400):
+        s = generate_stream(config.params, config.horizon_needed, replication_seed(29, i))
+        ev = evaluate_events(s, config)
+        e5, z, low = _float_barrier_rule(s, config)
+        assert (ev.e5, ev.z_value) == (e5, z), (i, low)
+        lows.add(low)
+        hits += e5
+    # walks that touch -floor(barrier) without passing it, and walks that pass it
+    assert {-config.barrier_steps, -config.barrier_steps - 1} <= lows
+    assert 0 < hits < 400
+
+
+@pytest.mark.parametrize("q_ref", [1e300, 1e308])
+def test_e5_barrier_past_int64_is_never_crossed(q_ref):
+    # floor(barrier) is clamped to 2**62, which no walk of a stream reaches;
+    # at q_ref = 1e308 the barrier itself is inf
+    config = dataclasses.replace(INTEGER_BARRIER, q_ref=q_ref)
+    assert config.barrier > 2.0**63 and config.barrier_steps == 2**62
+    for i in range(50):
+        s = generate_stream(config.params, config.horizon_needed, replication_seed(29, i))
+        ev = evaluate_events(s, config)
+        assert (ev.e5, ev.z_value) == (False, None) == _float_barrier_rule(s, config)[:2]
+
+
 def test_default_warmup_rule():
     cfg = make_config(window=2000.0, k=1.0)
     assert default_warmup_time(cfg) == pytest.approx(100.0 * 2000.0)

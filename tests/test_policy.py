@@ -133,6 +133,31 @@ def test_min_feasible_threshold_walks_from_the_closed_form(monkeypatch):
     assert pairs == 661
 
 
+def test_callers_reuse_the_law_the_walk_solved_last(monkeypatch):
+    # x* = 2 at lambda = 0.9 and 5 at 0.99; each walk ends on x*'s law, which
+    # the scaling table and the bd-oracle q_ref read instead of solving it again
+    from qadmit import analytic, excursion
+
+    calls = []
+
+    def counted(params, x):
+        calls.append(x)
+        return bd_stationary(params, x)
+
+    for module in (analytic, policy_module, excursion):
+        monkeypatch.setattr(module, "bd_stationary", counted)
+    rows = analytic.online_scaling_table(0.5, [0.9, 0.99])
+    assert calls == [1, 2, 4, 5]
+    assert [row.x_star for row in rows] == [2, 5]
+    assert [row.q_opt for row in rows] == [bd_stationary(ModelParams(lam, 0.5), x).mean_queue
+                                           for lam, x in ((0.9, 2), (0.99, 5))]
+    calls.clear()
+    params = ModelParams(0.9, 0.5, window=2.0)
+    assert excursion.reference_queue(params, "threshold:auto") == (
+        bd_stationary(params, 2).mean_queue, "bd-oracle")
+    assert calls == [1, 2]
+
+
 def test_closed_form_threshold_keeps_its_digits_near_critical_load():
     # one ulp above lambda = 1 - p both logarithms are ~1e-16 across, so
     # ln((1 - lambda)/p) in place of log1p would miss x* by ~1e3 at p = 1e-4

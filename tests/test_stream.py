@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -35,6 +37,53 @@ def test_params_validation():
     p = ModelParams(0.9, 0.5)
     assert p.drift == pytest.approx(0.4)
     assert p.total_rate == pytest.approx(1.4)
+
+
+# each derived rate of ModelParams as the expression it is computed by
+RATE_RULES = {
+    "service_rate": lambda lam, p: 1.0 - p,
+    "total_rate": lambda lam, p: lam + (1.0 - p),
+    "drift": lambda lam, p: lam - (1.0 - p),
+    "arrival_fraction": lambda lam, p: lam / (lam + (1.0 - p)),
+}
+
+
+def test_cached_rates_equal_their_expressions_bit_for_bit():
+    # several parameter sets read in turn: a value kept from another
+    # object would show here
+    for lam, p in [(0.9, 0.5), (0.875, 0.5), (0.3, 0.71), (math.nextafter(1.0, 0.0), 1e-9),
+                   (math.nextafter(0.9, 1.0), 0.1)]:
+        params = ModelParams(lam, p, window=2.0)
+        for _ in range(2):  # the first read computes, the second reads what was kept
+            for name, rule in RATE_RULES.items():
+                assert getattr(params, name).hex() == rule(lam, p).hex(), (lam, p, name)
+
+
+def test_cached_rates_leave_the_dataclass_protocol_alone():
+    read, fresh = ModelParams(0.9, 0.5, window=2.0), ModelParams(0.9, 0.5, window=2.0)
+    for name in RATE_RULES:
+        getattr(read, name)
+    assert read == fresh and hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh)
+    assert repr(fresh) == "ModelParams(arrival_rate=0.9, divert_budget=0.5, window=2.0)"
+    assert dataclasses.asdict(read) == {"arrival_rate": 0.9, "divert_budget": 0.5, "window": 2.0}
+    back = pickle.loads(pickle.dumps(read))
+    assert back == read and hash(back) == hash(read)
+    assert all(getattr(back, name) == getattr(fresh, name) for name in RATE_RULES)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        read.drift = 0.0
+
+
+def test_replaced_params_compute_their_rates_afresh():
+    params = ModelParams(0.9, 0.5, window=2.0)
+    for name in RATE_RULES:
+        getattr(params, name)
+    widened = dataclasses.replace(params, window=5.0)
+    assert not set(RATE_RULES) & set(vars(widened))  # nothing carried over before a read
+    busier = dataclasses.replace(params, arrival_rate=0.95)
+    for name, rule in RATE_RULES.items():
+        assert getattr(widened, name).hex() == rule(0.9, 0.5).hex(), name
+        assert getattr(busier, name).hex() == rule(0.95, 0.5).hex(), name
 
 
 @pytest.mark.parametrize("rate", [1.0, 1.2, -0.1, math.nan])
