@@ -19,7 +19,7 @@ those uniforms, generation peaks at ~17 bytes per event.
 The epochs and the walk are running sums taken in place with
 ``np.add.accumulate(x, out=x)``.  ``ndarray.cumsum`` runs the same ufunc
 loop, so the bits are the same, but it reaches that loop through a generic
-accumulate call that costs ~0.7 us more per call, and an excursion sample
+accumulate call that costs ~0.8 us more per call, and an excursion sample
 of ~123 events takes two such sums whose work is a few hundred ns.
 
 Replication i of a run is seeded by ``replication_seed(master, i)``.
