@@ -79,6 +79,11 @@ LATER_CONFIGS = [
                                   "--window-rule constant:0.25 --k 8 --epsilon 0.125 "
                                   "--zeta 0.5 --phi 40 --q-ref 0 --n-samples 200 "
                                   "--per-sample-csv"),
+    # threshold:auto in `simulate`: each run_*.json echoes the policy, and
+    # the trajectories hold x*'s decisions
+    ("simulate-threshold-trajectory", "simulate --p 0.5 --lambdas 0.875,0.9 "
+                                      "--policy threshold:auto --horizon 500 --seeds 2 "
+                                      "--trajectory-csv"),
 ]
 
 
