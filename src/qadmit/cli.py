@@ -55,7 +55,7 @@ from .excursion import (
     q_ref_source,
     reference_queue,
 )
-from .policy import parse_policy_spec
+from .policy import min_feasible_threshold, parse_policy_spec
 from .sim import DEFAULT_BURN_IN, run_simulation
 from .stream import (
     MAX_REPLICATIONS,
@@ -244,21 +244,21 @@ def validate_config(cfg: RunConfig) -> None:
         events = max((c["lambda"] + 1.0 - c["p"]) * (cfg.horizon + c["window"]) for c in cells)
         tasks = len(cells) * cfg.seeds
         workers = _pool_size(cfg, tasks)
-        # a threshold:auto cell solves its law while its stream is alive, in
-        # every worker at once; the largest law is checked alone first
+        # ``_run_grid`` solves each threshold:auto law alone, before any stream exists
         auto = [c["lambda"] for c in cells if c["policy"] == "threshold:auto"]
-        law = _check_law("threshold:auto", auto, cfg.p, workers) if auto else 0
-        _check_memory(events * workers * PEAK_BYTES_PER_EVENT + law
-                      + tasks * PARENT_BYTES_PER_TASK,
+        if auto:
+            _check_law("threshold:auto", auto, cfg.p)
+        _check_memory(events * workers * PEAK_BYTES_PER_EVENT + tasks * PARENT_BYTES_PER_TASK,
                       f"{workers} cells of ~{events:.3g} events at once and {tasks} (cell, seed) "
                       "results", "`horizon`, `workers` or `seeds`")
 
 
-def _check_law(policy: str, lambdas, p: float, copies: int = 1) -> int:
-    """Bytes of `copies` of the largest birth-death law `policy` solves over `lambdas`.
+def _check_law(policy: str, lambdas, p: float) -> None:
+    """Reject the largest birth-death law `policy` solves over `lambdas` if it cannot fit.
 
-    Rejects them if they would not fit at once.  An explicit threshold x
-    solves x + 1 states.  threshold:auto walks to x* from
+    A run solves its laws one at a time before any of its streams exists, a
+    sweep's in the calling process before it forks.  An explicit threshold
+    x solves x + 1 states.  threshold:auto walks to x* from
     ``closed_form_threshold``'s x_hat through laws of at most
     max(x_hat, x*) + 1 states, a few more than the x_hat + 1 counted here
     (at most 3 on every pair measured), which the margin of
@@ -268,12 +268,10 @@ def _check_law(policy: str, lambdas, p: float, copies: int = 1) -> int:
     _, x = parse_policy_spec(policy)
     if x is None:
         x = max(closed_form_threshold(ModelParams(lam, p)) for lam in lambdas)
-    law = (x + 1) * LAW_BYTES_PER_STATE * copies
-    _check_memory(law, f"the {x + 1} states of the birth-death law of `{policy}`"
-                  + (f" in each of {copies} workers" if copies > 1 else ""),
+    _check_memory((x + 1) * LAW_BYTES_PER_STATE,
+                  f"the {x + 1} states of the birth-death law of `{policy}`",
                   "the threshold or set `q_ref`" if policy != "threshold:auto"
                   else "`lambdas` or raise `p`")
-    return law
 
 
 # Peak bytes per stream event of one simulated cell: the bound the tests hold
@@ -545,13 +543,15 @@ def _run_grid(cfg: RunConfig, cells: list[dict],
 
     Returns the summary rows grouped by cell, in seed order.  Each task is
     seeded by its (cell, seed) index and ``_fan_out`` keeps task order, so
-    the results do not depend on the worker count.
+    the results do not depend on the worker count.  A threshold:auto cell's
+    tasks run ``threshold:x=<x*>``, its x* found here once, before any fork.
     """
-    tasks = [
-        (cfg, ci, ri, cell, trajectory_dir)
-        for ci, cell in enumerate(cells)
-        for ri in range(cfg.seeds)
-    ]
+    tasks = []
+    for ci, cell in enumerate(cells):
+        if cell["policy"] == "threshold:auto":
+            x = min_feasible_threshold(ModelParams(cell["lambda"], cell["p"], cell["window"]))
+            cell = cell | {"policy": f"threshold:x={x}"}
+        tasks += [(cfg, ci, ri, cell, trajectory_dir) for ri in range(cfg.seeds)]
     results = _fan_out(_simulate_cell, tasks, _pool_size(cfg, len(tasks)))
     return [results[ci * cfg.seeds : (ci + 1) * cfg.seeds] for ci in range(len(cells))]
 

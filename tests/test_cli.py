@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from importlib import metadata
 from pathlib import Path
 
@@ -990,15 +991,53 @@ def test_threshold_auto_law_uncounted_where_none_is_solved():
                                     "horizon": 10.0})
 
 
-def test_threshold_auto_law_counted_in_every_worker(monkeypatch):
-    # x_hat ~ 2.56e6 at p = 1e-6, lambda = 1 - 1e-7: ~123 MB of law per worker
+def test_threshold_auto_law_counted_once_whatever_the_workers(monkeypatch):
+    # x_hat ~ 2.56e6 at p = 1e-6, lambda = 1 - 1e-7: ~123 MB of law, which the
+    # calling process solves alone before any worker forks
     monkeypatch.setattr(os, "sysconf", _physical_memory(2**28))
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     base = dict(kind="phase", p=1e-6, lambdas=[1 - 5e-7, 1 - 1e-7], horizon=10.0, seeds=4)
-    config_from_mapping(base | {"workers": 2})
-    with pytest.raises(ConfigurationError, match="in each of 4 workers"):
-        config_from_mapping(base | {"workers": 4})
-    config_from_mapping(base | {"kind": "analytic"})
+    for fields in ({"workers": 2}, {"workers": 4}, {"kind": "analytic"}):
+        config_from_mapping(base | fields)
+    # 64 MB holds no one law, at any worker count
+    monkeypatch.setattr(os, "sysconf", _physical_memory(2**26))
+    for fields in ({"workers": 1}, {"workers": 4}, {"kind": "analytic"}):
+        with pytest.raises(ConfigurationError, match="birth-death law of `threshold:auto`"):
+            config_from_mapping(base | fields)
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("phase", {"policy": "threshold:auto"}),
+    ("conserve", {"c_values": [0.0, 1.0]}),  # `auto`: threshold:auto in the c = 0 cells
+])
+def test_sweep_solves_each_threshold_auto_law_once(tmp_path, monkeypatch, kind, fields):
+    # the calling process walks each cell to x* before it forks, so it solves
+    # every law once, and every task of the cell runs that x*
+    from qadmit import policy
+    from qadmit.cli import run_config
+
+    bd_stationary = policy.bd_stationary
+
+    def counted(params, x):
+        solved[params.arrival_rate, x] += 1
+        return bd_stationary(params, x)
+
+    monkeypatch.setattr(policy, "bd_stationary", counted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so that 2 workers do fork
+    counts, outputs = [], []
+    for workers in (1, 2):
+        solved = Counter()
+        out = tmp_path / f"w{workers}"
+        cfg = config_from_mapping(dict(kind=kind, p=0.5, lambdas=[0.875, 0.9], horizon=500.0,
+                                       seeds=3, workers=workers, out_dir=str(out)) | fields)
+        assert run_config(cfg) == EXIT_OK
+        counts.append(solved)
+        outputs.append((out / f"{kind}.csv").read_bytes())
+    assert set(counts[0].values()) == {1}
+    assert {lam for lam, _ in counts[0]} == {0.875, 0.9}
+    assert counts[0] == counts[1]
+    assert outputs[0] == outputs[1]
+    assert b"threshold:auto" in outputs[0] and b"threshold:x=" not in outputs[0]
 
 
 @pytest.mark.parametrize("kind", ["excursion", "diagnostic"])
