@@ -84,6 +84,12 @@ LATER_CONFIGS = [
     ("simulate-threshold-trajectory", "simulate --p 0.5 --lambdas 0.875,0.9 "
                                       "--policy threshold:auto --horizon 500 --seeds 2 "
                                       "--trajectory-csv"),
+    # how a diagnostic's policy and q_ref resolve when either one is given:
+    # x* found with q_ref set, an explicit threshold's law supplying q_ref,
+    # and the same for an excursion
+    ("diagnostic-auto-set-q-ref", DIAGNOSTIC + " --policy threshold:auto --q-ref 0.2"),
+    ("diagnostic-explicit-threshold", DIAGNOSTIC + " --policy threshold:x=2"),
+    ("excursion-explicit-threshold", EXCURSION + " --policy threshold:x=3"),
 ]
 
 
