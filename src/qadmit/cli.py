@@ -5,19 +5,19 @@ list of experiment kinds (``simulate``, ``analytic``, ``excursion``,
 ``phase``, ``conserve``, ``diagnostic``), each mapped to the function that
 writes its run directory.  Each kind is a subcommand taking
 ``--config <json>`` plus one flag per field, named after it (``--out`` for
-``out_dir``); precedence is CLI > file > defaults.  Every value is checked
-against its field's annotation before any file is written, and so are the
-overload range every kind holds each lambda to, (1 - p, 1), the memory the
-streams a run holds at once would need and the source of an unset `q_ref`
-(``excursion.q_ref_source``, the rule the run resolves it by).  Every run
-directory receives a manifest echoing the exact configuration, the package
-version, and the master seed.  A sweep's (cell, seed) replications run in
-`workers` forked processes while the calling process only collects their
-results; where ``os.fork`` is missing they run serially.  A worker keeps
-the memory its tasks free for its next task rather than give it back to
-the kernel, since each task would otherwise fault in its arrays page by
-page again; the calling process keeps its allocator's defaults.
-Replications are keyed by (cell, seed) index, so results are
+``out_dir``); precedence is CLI > file > defaults.
+
+Validation builds the plan, and ``run_config`` runs it.  ``validate_config``
+checks each value against its field's annotation, each lambda against the
+overload range (1 - p, 1) and the memory the run will hold at once, and
+returns a sweep's cells or the excursion geometry with the source of an
+unset `q_ref` (``excursion.q_ref_source``); it solves no birth-death law.
+``run_config`` validates every config, one built in code too, before it
+writes the manifest (the exact configuration, package version and master
+seed); the run then solves each law once, one walk per lambda giving a
+threshold:auto cell its x*, and a `diagnostic` both x* and an unset `q_ref`.
+A sweep's (cell, seed) replications run in `workers` forked processes
+(``_fan_out``) and are keyed by (cell, seed) index, so results are
 byte-identical regardless of worker count.
 
 ``main`` is the one entry point that takes a config and the one place
@@ -55,7 +55,7 @@ from .excursion import (
     q_ref_source,
     reference_queue,
 )
-from .policy import min_feasible_threshold, parse_policy_spec
+from .policy import min_feasible_law, min_feasible_threshold, parse_policy_spec
 from .sim import DEFAULT_BURN_IN, run_simulation
 from .stream import (
     MAX_REPLICATIONS,
@@ -166,11 +166,14 @@ def config_from_mapping(data: dict) -> RunConfig:
     return cfg
 
 
-def validate_config(cfg: RunConfig) -> None:
-    """Reject a config before any file is written.
+def validate_config(cfg: RunConfig):
+    """Reject a config before any file is written; return the plan its run runs.
 
-    `kind` and `policy` are looked up by value, so a value of any other
-    type is unknown; every other field's type is checked before its range.
+    The plan is a sweep's cells, the ``(ExcursionConfig, q_ref source)`` of
+    `excursion` and `diagnostic`, or None for `analytic`; the laws its run
+    will solve are counted (``_check_law``), not solved.  `kind` and `policy`
+    are looked up by value, so a value of any other type is unknown; every
+    other field's type is checked before its range.
     """
     if not isinstance(cfg.kind, str) or cfg.kind not in RUNNERS:
         raise ConfigurationError(f"unknown experiment kind `{cfg.kind}`")
@@ -183,74 +186,63 @@ def validate_config(cfg: RunConfig) -> None:
     if not cfg.lambdas:
         raise ConfigurationError("field `lambdas` must be a non-empty list")
     if cfg.kind in ("excursion", "diagnostic") and len(cfg.lambdas) > 1:
-        raise ConfigurationError(
-            f"kind `{cfg.kind}` takes one lambda, got {len(cfg.lambdas)}"
-        )
+        raise ConfigurationError(f"kind `{cfg.kind}` takes one lambda, got {len(cfg.lambdas)}")
     if not all(overloaded(lam, cfg.p) for lam in cfg.lambdas):
         raise ConfigurationError(
-            f"field `lambdas` must lie in ({1.0 - cfg.p}, 1) for kind `{cfg.kind}`"
-        )
+            f"field `lambdas` must lie in ({1.0 - cfg.p}, 1) for kind `{cfg.kind}`")
     _parse_window_rule(cfg.window_rule)
-    if cfg.seeds < 1:
-        raise ConfigurationError(f"field `seeds` must be >= 1, got {cfg.seeds}")
-    if cfg.master_seed < 0:
-        raise ConfigurationError(f"field `master_seed` must be >= 0, got {cfg.master_seed}")
-    if cfg.horizon <= 0:
-        raise ConfigurationError(f"field `horizon` must be positive, got {cfg.horizon}")
-    if not (0.0 <= cfg.burn_in < 1.0):
-        raise ConfigurationError(f"field `burn_in` must be in [0,1), got {cfg.burn_in}")
-    if cfg.q0 < 0:
-        raise ConfigurationError(f"field `q0` must be >= 0, got {cfg.q0}")
-    if cfg.q0 > 2**62:  # then q0 plus the events of any stream the memory rule lets in fit int64
-        raise ConfigurationError(f"field `q0` must be <= 2**62, got {cfg.q0}")
-    if cfg.workers is not None and cfg.workers < 1:
-        raise ConfigurationError(f"field `workers` must be >= 1, got {cfg.workers}")
+    # q0 <= 2**62: then q0 plus the events of any stream the memory rule lets in fit int64
+    for name, what, ok in (
+        ("seeds", ">= 1", cfg.seeds >= 1), ("master_seed", ">= 0", cfg.master_seed >= 0),
+        ("horizon", "positive", cfg.horizon > 0), ("burn_in", "in [0,1)", 0.0 <= cfg.burn_in < 1.0),
+        ("q0", ">= 0", cfg.q0 >= 0), ("q0", "<= 2**62", cfg.q0 <= 2**62),
+        ("workers", ">= 1", cfg.workers is None or cfg.workers >= 1),
+    ):
+        if not ok:
+            raise ConfigurationError(f"field `{name}` must be {what}, got {getattr(cfg, name)}")
     if any(c < 0 for c in cfg.c_values):
         raise ConfigurationError("field `c_values` must be nonnegative")
     if cfg.kind == "conserve" and not cfg.c_values:
         raise ConfigurationError("field `c_values` must be a non-empty list for kind `conserve`")
+    if cfg.kind == "analytic":
+        _check_law("threshold:auto", cfg.lambdas, cfg.p)  # one lambda at a time
+        return None
     if cfg.kind in ("excursion", "diagnostic"):
         least = MIN_EVENT_SAMPLES if cfg.kind == "excursion" else 1
         if not least <= cfg.n_samples <= MAX_REPLICATIONS:  # sample i is replication i
-            raise ConfigurationError(
-                f"field `n_samples` must be in [{least}, 2**32] for kind `{cfg.kind}`, "
-                f"got {cfg.n_samples}"
-            )
+            raise ConfigurationError(f"field `n_samples` must be in [{least}, 2**32] for kind "
+                                     f"`{cfg.kind}`, got {cfg.n_samples}")
         # samples run one at a time, so the peak is the longer of one sample's
         # stream (its base path, after a warm-up for `diagnostic`) and the pilot
-        # run that resolves an unset q_ref, which the geometry holds at 0.0 here
-        pilot = cfg.q_ref is None and q_ref_source(cfg.policy) == "pilot-run"
-        config, _ = _excursion_config(dataclasses.replace(cfg, q_ref=cfg.q_ref or 0.0))
+        # run that resolves an unset q_ref
+        plan = config, source = _excursion_config(cfg)
         horizon = config.horizon_needed
         if cfg.kind == "diagnostic":
             horizon += default_warmup_time(config) + config.window
-        if pilot:
+        if source == "pilot-run":
             horizon = max(horizon, DEFAULT_PILOT_HORIZON + config.window)
         events = config.params.total_rate * horizon
         _check_memory(events * PEAK_BYTES_PER_EVENT,
                       f"`{cfg.kind}` streams of ~{events:.3g} events", "`phi`, `k` or the window")
         # a threshold policy's law gives an unset q_ref, and threshold:auto's
         # gives x* to every diagnostic; it is solved before any sample runs
-        policy, x = parse_policy_spec(cfg.policy)
-        finds_x_star = x is None and cfg.kind == "diagnostic"
-        if policy == "threshold" and (cfg.q_ref is None or finds_x_star):
+        if source == "bd-oracle" or (cfg.kind == "diagnostic" and cfg.policy == "threshold:auto"):
             _check_law(cfg.policy, cfg.lambdas, cfg.p)
-    if cfg.kind == "analytic":
-        _check_law("threshold:auto", cfg.lambdas, cfg.p)  # one lambda at a time
-    if cfg.kind in ("simulate", "phase", "conserve"):
-        # the largest cell's expected events, (lambda + 1 - p) * (horizon + W),
-        # times the cells run at once, plus what the parent holds per task
-        cells = (_conserve_cells if cfg.kind == "conserve" else _rule_cells)(cfg)
-        events = max((c["lambda"] + 1.0 - c["p"]) * (cfg.horizon + c["window"]) for c in cells)
-        tasks = len(cells) * cfg.seeds
-        workers = _pool_size(cfg, tasks)
-        # ``_run_grid`` solves each threshold:auto law alone, before any stream exists
-        auto = [c["lambda"] for c in cells if c["policy"] == "threshold:auto"]
-        if auto:
-            _check_law("threshold:auto", auto, cfg.p)
-        _check_memory(events * workers * PEAK_BYTES_PER_EVENT + tasks * PARENT_BYTES_PER_TASK,
-                      f"{workers} cells of ~{events:.3g} events at once and {tasks} (cell, seed) "
-                      "results", "`horizon`, `workers` or `seeds`")
+        return plan
+    # the largest cell's expected events, (lambda + 1 - p) * (horizon + W),
+    # times the cells run at once, plus what the parent holds per task
+    cells = (_conserve_cells if cfg.kind == "conserve" else _rule_cells)(cfg)
+    events = max((c["lambda"] + 1.0 - c["p"]) * (cfg.horizon + c["window"]) for c in cells)
+    tasks = len(cells) * cfg.seeds
+    workers = _pool_size(cfg, tasks)
+    # ``_run_grid`` solves each threshold:auto law alone, before any stream exists
+    auto = [c["lambda"] for c in cells if c["policy"] == "threshold:auto"]
+    if auto:
+        _check_law("threshold:auto", auto, cfg.p)
+    _check_memory(events * workers * PEAK_BYTES_PER_EVENT + tasks * PARENT_BYTES_PER_TASK,
+                  f"{workers} cells of ~{events:.3g} events at once and {tasks} (cell, seed) "
+                  "results", "`horizon`, `workers` or `seeds`")
+    return cells
 
 
 def _check_law(policy: str, lambdas, p: float) -> None:
@@ -491,16 +483,14 @@ def _read_share(k: int, reader) -> tuple:
 def _fan_out(fn, tasks: list, workers: int) -> list:
     """``[fn(t) for t in tasks]``, computed by `workers` forked processes.
 
-    Worker k runs ``tasks[k::workers]`` and pickles what came of it into a
-    pipe of its own.  The calling process runs no task, since its resident
-    set already holds every page touched at import and a task's streams
-    would add to that peak: it only forks, reads each pipe to its end and
-    reaps every worker.  A worker keeps the memory its tasks free
-    (``_run_share``), so it holds its largest task's peak from then on but
-    faults it in once; the calling process, which outlives the sweep, keeps
-    its allocator's defaults.  A task's
-    exception is raised here with its own type and message; when several
-    tasks raise, the first in task order wins, as it would serially.
+    Worker k runs ``tasks[k::workers]`` (``_run_share``) and pickles what
+    came of it into a pipe of its own.  The calling process runs no task,
+    since its resident set already holds every page touched at import and a
+    task's streams would add to that peak: it only forks, reads each pipe to
+    its end and reaps every worker, and keeps its allocator's defaults, since
+    it outlives the sweep.  A task's exception is raised here with its own
+    type and message; when several tasks raise, the first in task order
+    wins, as it would serially.
     Where ``os.fork`` is missing, or for one worker, the tasks run here, in
     order, with the allocator as it is.
     """
@@ -589,8 +579,8 @@ def _rule_cells(cfg: RunConfig) -> list[dict]:
 
 
 def phase_sweep(cfg: RunConfig) -> list[dict]:
-    """Per-(lambda, seed) simulation rows plus one aggregate row per cell."""
-    cells = _rule_cells(cfg)
+    """Per-(lambda, seed) simulation rows plus one aggregate row per cell, once `cfg` validates."""
+    cells = validate_config(cfg)
     rows: list[dict] = []
     for cell, results in zip(cells, _run_grid(cfg, cells)):
         rows += _cell_rows(cell, results)
@@ -621,8 +611,9 @@ def conservation_sweep(cfg: RunConfig) -> list[dict]:
 
     With the policy set to ``auto``, zero-window cells run the online
     threshold policy and positive windows run the lookahead heuristic.
+    The cells are the plan ``validate_config`` returns.
     """
-    cells = _conserve_cells(cfg)
+    cells = validate_config(cfg)
     rows: list[dict] = []
     ratios_by_lambda: dict[float, list[float]] = {}
     for cell, results in zip(cells, _run_grid(cfg, cells)):
@@ -632,11 +623,9 @@ def conservation_sweep(cfg: RunConfig) -> list[dict]:
             rows.append(row)
         ratios_by_lambda.setdefault(cell["lambda"], []).append(rows[-1]["ratio"])  # aggregate's
     for lam, ratios in sorted(ratios_by_lambda.items()):
-        rows.append({
-            "lambda": lam, "p": cfg.p, "c": "min", "window": None, "policy": cfg.policy,
-            "seed": None, "n_events": None, "mean_queue_event": None,
-            "q_plus_w": None, "ratio": min(ratios), "ci_halfwidth": None, "aggregate_flag": 2,
-        })
+        rows.append(dict.fromkeys(CONSERVE_COLUMNS) | {
+            "lambda": lam, "p": cfg.p, "c": "min", "policy": cfg.policy, "ratio": min(ratios),
+            "aggregate_flag": 2})
     return rows
 
 
@@ -674,8 +663,7 @@ def _write_sweep(out_dir: Path, name: str, columns: list[str], rows: list[dict],
     (out_dir / f"plot_{name}.py").write_text(stub)
 
 
-def _run_simulate(cfg: RunConfig, out_dir: Path) -> None:
-    cells = _rule_cells(cfg)
+def _run_simulate(cfg: RunConfig, out_dir: Path, cells: list[dict]) -> None:
     grouped = _run_grid(cfg, cells, out_dir if cfg.trajectory_csv else None)
     for li, (cell, results) in enumerate(zip(cells, grouped)):
         del cell["window_rule"]  # a run summary echoes its window, not the rule
@@ -683,48 +671,56 @@ def _run_simulate(cfg: RunConfig, out_dir: Path) -> None:
             _write_json(out_dir / f"run_lam{li}_seed{r['seed']}.json", cell | {"q0": cfg.q0} | r)
 
 
-def _run_analytic(cfg: RunConfig, out_dir: Path) -> None:
+def _run_analytic(cfg: RunConfig, out_dir: Path, _) -> None:
     rows = [dataclasses.asdict(r) | {"lambda": r.arrival_rate}
             for r in online_scaling_table(cfg.p, cfg.lambdas)]
     _write_csv(out_dir / "scaling.csv",
                ["lambda", "x_star", "q_opt", "log_term", "ratio", "diversion_rate"], rows)
 
 
-def _run_phase(cfg: RunConfig, out_dir: Path) -> None:
+def _run_phase(cfg: RunConfig, out_dir: Path, _) -> None:  # phase_sweep validates cfg itself
     rows = phase_sweep(cfg)
     _write_sweep(out_dir, "phase", PHASE_COLUMNS, rows, "mean_queue_event", "window_rule")
 
 
-def _run_conserve(cfg: RunConfig, out_dir: Path) -> None:
+def _run_conserve(cfg: RunConfig, out_dir: Path, _) -> None:
     _write_sweep(out_dir, "conserve", CONSERVE_COLUMNS, conservation_sweep(cfg), "ratio", "c")
 
 
 def _excursion_config(cfg: RunConfig) -> tuple[ExcursionConfig, str]:
-    """Base-path geometry of the single lambda, and where its q_ref came from.
+    """Base-path geometry of the single lambda, and where its q_ref comes from.
 
-    An unset q_ref resolves via reference_queue, by the rule of q_ref_source.
+    An unset q_ref is held at 0.0 (only the barrier reads it) until the run sets it.
     """
     lam = cfg.lambdas[0]
     params = ModelParams(lam, cfg.p, _parse_window_rule(cfg.window_rule)(lam))
-    q_ref, source = cfg.q_ref, "config"
+    source = "config" if cfg.q_ref is not None else q_ref_source(cfg.policy)
+    return ExcursionConfig(params=params, k=cfg.k, epsilon=cfg.epsilon, zeta=cfg.zeta,
+                           phi=cfg.phi, q_ref=cfg.q_ref or 0.0), source
+
+
+def _excursion_run(cfg: RunConfig, config: ExcursionConfig) -> tuple[ExcursionConfig, str]:
+    """The geometry with q_ref set and the policy a diagnostic runs, from at most one law."""
+    spec, q_ref = cfg.policy, cfg.q_ref
+    if cfg.kind == "diagnostic" and spec == "threshold:auto":
+        law = min_feasible_law(config.params)
+        spec = f"threshold:x={law.threshold}"
+        q_ref = law.mean_queue if q_ref is None else q_ref
     if q_ref is None:
-        q_ref, source = reference_queue(params, cfg.policy, seed=cfg.master_seed)
-    return ExcursionConfig(
-        params=params, k=cfg.k, epsilon=cfg.epsilon, zeta=cfg.zeta, phi=cfg.phi, q_ref=q_ref
-    ), source
+        q_ref, _ = reference_queue(config.params, spec, seed=cfg.master_seed)
+    return dataclasses.replace(config, q_ref=q_ref), spec
 
 
 PER_SAMPLE_COLUMNS = ["sample", "e1", "e3", "e4", "e5", "z", "Y", "V", "J", "L0"]
 DIAGNOSTIC_COLUMNS = ["sample", "e1", "e2", "e3", "e4", "e5", "z", "Y", "V", "J", "L0", "Q0"]
 
 
-def _run_excursion(cfg: RunConfig, out_dir: Path) -> None:
-    config, _ = _excursion_config(cfg)
+def _run_excursion(cfg: RunConfig, out_dir: Path, plan: tuple[ExcursionConfig, str]) -> None:
+    config, _ = _excursion_run(cfg, plan[0])
     report, indicators = estimate_event_probs(config, cfg.n_samples, cfg.master_seed)
     payload = dataclasses.asdict(report) | {
         "lambda": cfg.lambdas[0], "p": cfg.p, "window": config.params.window,
-        "k": cfg.k, "epsilon": cfg.epsilon, "zeta": cfg.zeta, "phi": cfg.phi,
-        "q_ref": config.q_ref,
+        "k": cfg.k, "epsilon": cfg.epsilon, "zeta": cfg.zeta, "phi": cfg.phi, "q_ref": config.q_ref,
     }
     for estimate in payload["estimates"].values():
         del estimate["name"]
@@ -736,21 +732,21 @@ def _run_excursion(cfg: RunConfig, out_dir: Path) -> None:
                     ([i, *r, *empty] for i, r in enumerate(indicators.astype(int).tolist())))
 
 
-def _run_diagnostic(cfg: RunConfig, out_dir: Path) -> None:
-    config, source = _excursion_config(cfg)
-    report, rows = diversion_idling_diagnostic(config, cfg.policy, cfg.n_samples, cfg.master_seed)
+def _run_diagnostic(cfg: RunConfig, out_dir: Path, plan: tuple[ExcursionConfig, str]) -> None:
+    config, spec = _excursion_run(cfg, plan[0])
+    report, rows = diversion_idling_diagnostic(config, spec, cfg.n_samples, cfg.master_seed)
     payload = dataclasses.asdict(report) | {
         "lambda": cfg.lambdas[0], "p": cfg.p, "window": config.params.window,
-        "q_ref_source": source,
+        "policy": cfg.policy, "q_ref_source": plan[1],  # the policy as given, not its x*
     }
     _write_json(out_dir / "diagnostic.json", payload)
     if cfg.per_sample_csv:
         _write_csv(out_dir / "diagnostic_samples.csv", DIAGNOSTIC_COLUMNS, rows)
 
 
-# The experiment kinds, each with the runner that fills its run directory.
-# A runner looks up the library functions it calls (phase_sweep,
-# estimate_event_probs, ...) as module globals when it runs.
+# The experiment kinds, each with the runner that fills its run directory from
+# the config and its plan.  A runner looks up the library functions it calls
+# (phase_sweep, estimate_event_probs, ...) as module globals when it runs.
 RUNNERS = {
     "simulate": _run_simulate,
     "analytic": _run_analytic,
@@ -762,11 +758,12 @@ RUNNERS = {
 
 
 def run_config(cfg: RunConfig) -> int:
-    """Run a validated config in its run directory; returns an exit code."""
+    """Validate a config, then run its plan in its run directory; returns an exit code."""
+    plan = validate_config(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(cfg, out_dir)
-    RUNNERS[cfg.kind](cfg, out_dir)
+    RUNNERS[cfg.kind](cfg, out_dir, plan)
     return EXIT_OK
 
 

@@ -201,10 +201,11 @@ def test_parent_bytes_per_task_bound_a_conserve_sweep(tmp_path):
     cfg = config_from_mapping(dict(kind="conserve", p=0.5, lambdas=[0.9], c_values=[0.0],
                                    horizon=2.0, seeds=1500, workers=2,
                                    out_dir=str(tmp_path)))
+    plan = cli.validate_config(cfg)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        cli.RUNNERS["conserve"](cfg, tmp_path)
+        cli.RUNNERS["conserve"](cfg, tmp_path, plan)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -737,7 +738,7 @@ def test_infeasible_lambda_exits_before_the_manifest(tmp_path, capsys, kind, lam
     (conservation_sweep, dict(kind="conserve", policy="auto", c_values=(0.0, 1.0))),
 ], ids=["phase", "conserve"])
 def test_unvalidated_sweep_rejects_an_infeasible_lambda(monkeypatch, sweep, fields, lam, workers):
-    # a config built in code skips validate_config; its cells still refuse the lambda
+    # a sweep of a config built in code validates it first, before any worker forks
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so that 2 workers do fork
     cfg = RunConfig(p=0.5, lambdas=(lam, 0.875), horizon=200.0, seeds=1, workers=workers,
                     **fields)
@@ -1006,23 +1007,36 @@ def test_threshold_auto_law_counted_once_whatever_the_workers(monkeypatch):
             config_from_mapping(base | fields)
 
 
+_MONTE_CARLO = dict(lambdas=[0.9], window_rule="constant:2", n_samples=100, k=2.0,
+                    epsilon=0.3, phi=5.0)
+
+
 @pytest.mark.parametrize("kind, fields", [
     ("phase", {"policy": "threshold:auto"}),
     ("conserve", {"c_values": [0.0, 1.0]}),  # `auto`: threshold:auto in the c = 0 cells
+    ("simulate", {"policy": "threshold:auto"}),
+    ("analytic", {}),
+    ("excursion", _MONTE_CARLO),  # threshold:auto's law gives q_ref
+    ("diagnostic", _MONTE_CARLO | {"n_samples": 3}),  # and x* as well
+    ("diagnostic", _MONTE_CARLO | {"n_samples": 3, "q_ref": 0.2}),  # x* alone
+    ("diagnostic", _MONTE_CARLO | {"n_samples": 3, "policy": "threshold:x=2"}),  # q_ref alone
 ])
 def test_sweep_solves_each_threshold_auto_law_once(tmp_path, monkeypatch, kind, fields):
-    # the calling process walks each cell to x* before it forks, so it solves
-    # every law once, and every task of the cell runs that x*
-    from qadmit import policy
+    # every kind's run solves each (lambda, x) law once: a sweep walks each
+    # cell to x* before it forks, and every task of the cell runs that x*;
+    # a diagnostic takes both x* and an unset q_ref from one walk
+    from qadmit import excursion, policy
     from qadmit.cli import run_config
 
-    bd_stationary = policy.bd_stationary
+    def counting(solve):
+        def counted(params, x):
+            solved[params.arrival_rate, x] += 1
+            return solve(params, x)
+        return counted
 
-    def counted(params, x):
-        solved[params.arrival_rate, x] += 1
-        return bd_stationary(params, x)
-
-    monkeypatch.setattr(policy, "bd_stationary", counted)
+    for module in (policy, excursion):  # excursion imports the name itself
+        monkeypatch.setattr(module, "bd_stationary", counting(module.bd_stationary))
+    monkeypatch.setattr(excursion, "DEFAULT_WARMUP_EVENTS", 500)  # a short diagnostic warm-up
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so that 2 workers do fork
     counts, outputs = [], []
     for workers in (1, 2):
@@ -1032,12 +1046,23 @@ def test_sweep_solves_each_threshold_auto_law_once(tmp_path, monkeypatch, kind, 
                                        seeds=3, workers=workers, out_dir=str(out)) | fields)
         assert run_config(cfg) == EXIT_OK
         counts.append(solved)
-        outputs.append((out / f"{kind}.csv").read_bytes())
+        outputs.append(b"".join(f.read_bytes() for f in sorted(out.iterdir())
+                                if f.name != "manifest.json"))
     assert set(counts[0].values()) == {1}
-    assert {lam for lam, _ in counts[0]} == {0.875, 0.9}
+    assert {lam for lam, _ in counts[0]} == set(cfg.lambdas)
     assert counts[0] == counts[1]
     assert outputs[0] == outputs[1]
-    assert b"threshold:auto" in outputs[0] and b"threshold:x=" not in outputs[0]
+    if kind in ("phase", "conserve", "simulate", "diagnostic") and cfg.policy != "threshold:x=2":
+        # outputs print the spec as given, not the x* it ran
+        assert b"threshold:auto" in outputs[0] and b"threshold:x=" not in outputs[0]
+
+
+def test_run_config_validates_a_config_built_in_code(tmp_path):
+    out = tmp_path / "out"
+    cfg = RunConfig(kind="phase", p=0.5, lambdas=(0.4,), out_dir=str(out))
+    with pytest.raises(ConfigurationError, match="`lambdas` must lie in"):
+        cli.run_config(cfg)
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("kind", ["excursion", "diagnostic"])
