@@ -14,11 +14,14 @@ returns a sweep's cells or the excursion geometry with the source of an
 unset `q_ref` (``excursion.q_ref_source``); it solves no birth-death law.
 ``run_config`` validates every config, one built in code too, before it
 writes the manifest (the exact configuration, package version and master
-seed); the run then solves each law once, one walk per lambda giving a
-threshold:auto cell its x*, and a `diagnostic` both x* and an unset `q_ref`.
-A sweep's (cell, seed) replications run in `workers` forked processes
-(``_fan_out``) and are keyed by (cell, seed) index, so results are
-byte-identical regardless of worker count.
+seed); the run then solves each law once, one walk per distinct
+``ModelParams`` giving its threshold:auto cells their x*, and a
+`diagnostic` both x* and an unset `q_ref`.  A sweep's (cell, seed)
+replications, and a `diagnostic`'s samples in one contiguous block of
+indices per worker, run in up to `workers` forked processes
+(``_fan_out``), each pinned to its own allowed CPU.  Every task is keyed by
+its (cell, seed) or sample index and the results are joined in that order,
+so outputs are byte-identical regardless of worker count.
 
 ``main`` is the one entry point that takes a config and the one place
 that maps a failure to an exit code: 0 success, 1 runtime failure, 2 config
@@ -50,7 +53,8 @@ from .excursion import (
     MIN_EVENT_SAMPLES,
     ExcursionConfig,
     default_warmup_time,
-    diversion_idling_diagnostic,
+    diagnostic_report,
+    diagnostic_samples,
     estimate_event_probs,
     q_ref_source,
     reference_queue,
@@ -212,18 +216,23 @@ def validate_config(cfg: RunConfig):
         if not least <= cfg.n_samples <= MAX_REPLICATIONS:  # sample i is replication i
             raise ConfigurationError(f"field `n_samples` must be in [{least}, 2**32] for kind "
                                      f"`{cfg.kind}`, got {cfg.n_samples}")
-        # samples run one at a time, so the peak is the longer of one sample's
-        # stream (its base path, after a warm-up for `diagnostic`) and the pilot
-        # run that resolves an unset q_ref
+        # each of a `diagnostic`'s workers runs one sample at a time, and
+        # `excursion`'s samples run serially: the peak is the larger of one
+        # sample's stream (its base path, after a warm-up for `diagnostic`) per
+        # worker and the pilot run that resolves an unset q_ref before any fork
         plan = config, source = _excursion_config(cfg)
-        horizon = config.horizon_needed
+        horizon, workers = config.horizon_needed, 1
         if cfg.kind == "diagnostic":
             horizon += default_warmup_time(config) + config.window
+            workers = _pool_size(cfg, cfg.n_samples)
+        held = horizon * workers  # stream time held at once
         if source == "pilot-run":
-            horizon = max(horizon, DEFAULT_PILOT_HORIZON + config.window)
-        events = config.params.total_rate * horizon
+            held = max(held, DEFAULT_PILOT_HORIZON + config.window)
+        events = config.params.total_rate * held
         _check_memory(events * PEAK_BYTES_PER_EVENT,
-                      f"`{cfg.kind}` streams of ~{events:.3g} events", "`phi`, `k` or the window")
+                      f"`{cfg.kind}` streams of ~{events:.3g} events at once",
+                      "`phi`, `k`, the window or `workers`" if workers > 1
+                      else "`phi`, `k` or the window")
         # a threshold policy's law gives an unset q_ref, and threshold:auto's
         # gives x* to every diagnostic; it is solved before any sample runs
         if source == "bd-oracle" or (cfg.kind == "diagnostic" and cfg.policy == "threshold:auto"):
@@ -399,9 +408,10 @@ def _trajectory_rows(columns: tuple, n: int):
 
 
 def _pool_size(cfg: RunConfig, n_tasks: int) -> int:
-    """How many (cell, seed) tasks of a sweep run at once: `workers`, at most one per CPU.
+    """How many tasks run at once: `workers`, at most one per CPU and one per task.
 
-    All workers are forked at once, so more than the CPUs would only add
+    A task is a sweep's (cell, seed) or a block of `diagnostic` samples.  All
+    workers are forked at once, so more than the CPUs would only add
     processes; outputs do not depend on the count.
     """
     cpus = os.cpu_count() or 1
@@ -434,10 +444,28 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 2**30)
 
 
-def _run_share(fn, share: list, writer) -> typing.NoReturn:
-    """A forked worker's whole life: run `share` in order, send what came of it, exit.
+def _pin_to_cpu(k: int) -> None:
+    """Run this process on the k-th (cyclically) of the CPUs it may run on.
 
-    It first keeps the memory its tasks free (``_keep_freed_memory``): every
+    Linux often leaves a freshly forked process on its parent's CPU, so
+    without this a pool's workers may share one CPU while another idles.
+    Where ``os.sched_setaffinity`` is missing or refuses, the process stays
+    unpinned: no output depends on where it runs.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, (cpus[k % len(cpus)],))
+    except OSError:
+        pass
+
+
+def _run_share(fn, share: list, k: int, writer) -> typing.NoReturn:
+    """Worker k's whole life: run `share` in order, send what came of it, exit.
+
+    It first pins itself to its own CPU (``_pin_to_cpu``) for the rest of
+    its life, and keeps the memory its tasks free (``_keep_freed_memory``): every
     task of a sweep allocates arrays of the same few sizes, so a task reuses
     the pages the one before it touched instead of faulting them in again,
     and the worker's resident set stays at its largest task's.  Only a
@@ -449,6 +477,7 @@ def _run_share(fn, share: list, writer) -> typing.NoReturn:
     """
     code = 1
     try:
+        _pin_to_cpu(k)
         _keep_freed_memory()
         results = []
         try:
@@ -483,16 +512,18 @@ def _read_share(k: int, reader) -> tuple:
 def _fan_out(fn, tasks: list, workers: int) -> list:
     """``[fn(t) for t in tasks]``, computed by `workers` forked processes.
 
-    Worker k runs ``tasks[k::workers]`` (``_run_share``) and pickles what
-    came of it into a pipe of its own.  The calling process runs no task,
-    since its resident set already holds every page touched at import and a
-    task's streams would add to that peak: it only forks, reads each pipe to
-    its end and reaps every worker, and keeps its allocator's defaults, since
-    it outlives the sweep.  A task's exception is raised here with its own
-    type and message; when several tasks raise, the first in task order
-    wins, as it would serially.
+    Worker k runs ``tasks[k::workers]`` (``_run_share``), pinned to the k-th
+    (cyclically) of the CPUs the calling process may run on, so that the
+    workers start on distinct CPUs and not stacked on the parent's; it
+    pickles what came of it into a pipe of its own.  The calling process
+    runs no task, since its resident set already holds every page touched at
+    import and a task's streams would add to that peak: it only forks, reads
+    each pipe to its end and reaps every worker, and keeps its allocator's
+    defaults and its CPU affinity, since it outlives the pool.  A task's
+    exception is raised here with its own type and message; when several
+    tasks raise, the first in task order wins, as it would serially.
     Where ``os.fork`` is missing, or for one worker, the tasks run here, in
-    order, with the allocator as it is.
+    order, with the allocator and affinity as they are.
     """
     if workers <= 1 or not hasattr(os, "fork"):
         return [fn(t) for t in tasks]
@@ -506,7 +537,7 @@ def _fan_out(fn, tasks: list, workers: int) -> list:
                 if pid == 0:
                     for reader in readers:  # the parent's reader is then the only one
                         reader.close()
-                    _run_share(fn, tasks[k::workers], writer)
+                    _run_share(fn, tasks[k::workers], k, writer)
             pids.append(pid)
         shares = [_read_share(k, reader) for k, reader in enumerate(readers)]
     finally:
@@ -534,13 +565,17 @@ def _run_grid(cfg: RunConfig, cells: list[dict],
     Returns the summary rows grouped by cell, in seed order.  Each task is
     seeded by its (cell, seed) index and ``_fan_out`` keeps task order, so
     the results do not depend on the worker count.  A threshold:auto cell's
-    tasks run ``threshold:x=<x*>``, its x* found here once, before any fork.
+    tasks run ``threshold:x=<x*>``, its x* found here before any fork, once
+    for all the cells of one ``ModelParams``.
     """
     tasks = []
+    thresholds: dict[ModelParams, int] = {}
     for ci, cell in enumerate(cells):
         if cell["policy"] == "threshold:auto":
-            x = min_feasible_threshold(ModelParams(cell["lambda"], cell["p"], cell["window"]))
-            cell = cell | {"policy": f"threshold:x={x}"}
+            params = ModelParams(cell["lambda"], cell["p"], cell["window"])
+            if params not in thresholds:
+                thresholds[params] = min_feasible_threshold(params)
+            cell = cell | {"policy": f"threshold:x={thresholds[params]}"}
         tasks += [(cfg, ci, ri, cell, trajectory_dir) for ri in range(cfg.seeds)]
     results = _fan_out(_simulate_cell, tasks, _pool_size(cfg, len(tasks)))
     return [results[ci * cfg.seeds : (ci + 1) * cfg.seeds] for ci in range(len(cells))]
@@ -733,8 +768,21 @@ def _run_excursion(cfg: RunConfig, out_dir: Path, plan: tuple[ExcursionConfig, s
 
 
 def _run_diagnostic(cfg: RunConfig, out_dir: Path, plan: tuple[ExcursionConfig, str]) -> None:
+    """The samples run as one contiguous block of indices per worker, joined in index order.
+
+    The pilot run and the x* walk of ``_excursion_run`` stay in the calling
+    process, before any worker forks.
+    """
     config, spec = _excursion_run(cfg, plan[0])
-    report, rows = diversion_idling_diagnostic(config, spec, cfg.n_samples, cfg.master_seed)
+    n, workers = cfg.n_samples, _pool_size(cfg, cfg.n_samples)
+    bounds = [n * k // workers for k in range(workers + 1)]
+
+    def block(k: int) -> list[dict]:
+        first = bounds[k]
+        return diagnostic_samples(config, spec, bounds[k + 1] - first, cfg.master_seed, first)
+
+    rows = [row for share in _fan_out(block, list(range(workers)), workers) for row in share]
+    report = diagnostic_report(config, spec, rows)
     payload = dataclasses.asdict(report) | {
         "lambda": cfg.lambdas[0], "p": cfg.p, "window": config.params.window,
         "policy": cfg.policy, "q_ref_source": plan[1],  # the policy as given, not its x*

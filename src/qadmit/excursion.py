@@ -33,10 +33,13 @@ clamped to 2**62 (no walk comes near it, and the comparison stays in int64
 on every numpy), and each sample makes one comparison instead of a
 subtraction and a float comparison.  The event estimator and
 the diagnostic return per-sample rows beside their report; the zeta sweep
-and the rate fit return estimates alone.  The diagnostic takes its wasted
-tokens from the engine's rule, ``sim.wasted_tokens``.  Where an unset q_ref
-comes from is one rule, ``q_ref_source``, which ``reference_queue`` and the
-CLI's config validation both call.
+and the rate fit return estimates alone.  The diagnostic is two steps, so
+that its samples can run as contiguous blocks of indices in separate
+processes: ``diagnostic_samples`` gives the rows of one block, and
+``diagnostic_report`` the report over all of them.  The diagnostic takes
+its wasted tokens from the engine's rule, ``sim.wasted_tokens``.  Where an
+unset q_ref comes from is one rule, ``q_ref_source``, which
+``reference_queue`` and the CLI's config validation both call.
 """
 
 from __future__ import annotations
@@ -472,21 +475,23 @@ def reference_queue(params: ModelParams, policy_spec: str, seed: int = 0,
     return m.mean_queue_event, source
 
 
-def diversion_idling_diagnostic(
+def diagnostic_samples(
     config: ExcursionConfig,
     policy_spec: str,
     n_samples: int,
     seed: int,
+    first: int = 0,
     warmup_time: float | None = None,
-) -> tuple[DiagnosticReport, list[dict]]:
-    """Warm up a policy, relabel the origin, and probe the base-path logic.
+) -> list[dict]:
+    """The diagnostic's rows of samples [first, first + n_samples), in index order.
 
-    Each sample simulates the policy through a warm-up plus one base path,
-    treats the warm-up end as time zero, records e2 (queue at origin at
-    most 6 * q_ref) and e1, and conditional on both collects the diversion
-    count over the drift stretch, the last-low time, the wasted tokens, and
-    the low-at-origin indicator.  Returns the report plus one row per
-    sample, as ``estimate_event_probs`` does.
+    Each sample simulates the policy through a warm-up plus one base path
+    on the stream ``_sampled_streams`` keys (seed, i), treats the warm-up
+    end as time zero, and records e1-e5, the first-passage time, the
+    diversion count Y over the drift stretch, the last-low time V, the
+    wasted tokens J, the low-at-origin indicator L0 and the queue Q0 at the
+    origin; e2 is Q0 <= 6 * q_ref.  The `sample` column is the global index
+    i, so the rows of contiguous blocks join into the rows of one call.
     """
     _check_samples(n_samples)
     if warmup_time is None:
@@ -497,8 +502,9 @@ def diversion_idling_diagnostic(
     origin = warmup_time
     t_end = origin + config.horizon_needed
     policy = make_policy(policy_spec, params)  # run_simulation resets it per sample
+    streams = _sampled_streams(params, t_end + params.window, n_samples, seed, first)
     rows = []
-    for i, st in enumerate(_sampled_streams(params, t_end + params.window, n_samples, seed)):
+    for i, st in enumerate(streams, first):
         traj, trace, _ = run_simulation(st, policy, q0=0, t_end=t_end)
         q0 = traj.queue_at(st, origin)
         ev = evaluate_events(st, config, origin=origin)
@@ -521,21 +527,56 @@ def diversion_idling_diagnostic(
                 "Q0": q0,
             }
         )
+    return rows
 
+
+def diagnostic_report(
+    config: ExcursionConfig,
+    policy_spec: str,
+    rows: list[dict],
+    warmup_time: float | None = None,
+) -> DiagnosticReport:
+    """The report over every row of a diagnostic's samples.
+
+    It counts e1 and e2 over all rows and, conditional on both, summarizes
+    Y / B, V, J and L0; `warmup_time` is the one the rows were run with.
+    """
+    _check_samples(len(rows))
+    if warmup_time is None:
+        warmup_time = default_warmup_time(config)
+    n = len(rows)
+    b = config.buffer_len
     e1_hits = sum(r["e1"] for r in rows)
     e2_hits = sum(r["e2"] for r in rows)
     cond = [r for r in rows if r["e1"] and r["e2"]]
     return DiagnosticReport(
         policy=policy_spec,
         q_ref=config.q_ref,
-        n_samples=n_samples,
+        n_samples=n,
         warmup_time=warmup_time,
-        p_e1=EventEstimate.from_hits("e1", e1_hits, n_samples),
-        p_e2=EventEstimate.from_hits("e2", e2_hits, n_samples),
+        p_e1=EventEstimate.from_hits("e1", e1_hits, n),
+        p_e2=EventEstimate.from_hits("e2", e2_hits, n),
         n_conditional=len(cond),
         low_conditional=len(cond) < 50,
         y_over_b=_mean_ci([r["Y"] / b for r in cond]),
         v_last_low=_mean_ci([r["V"] for r in cond]),
         wasted=_mean_ci([r["J"] for r in cond]),
         low_at_origin=_mean_ci([r["L0"] for r in cond]),
-    ), rows
+    )
+
+
+def diversion_idling_diagnostic(
+    config: ExcursionConfig,
+    policy_spec: str,
+    n_samples: int,
+    seed: int,
+    warmup_time: float | None = None,
+) -> tuple[DiagnosticReport, list[dict]]:
+    """Warm up a policy, relabel the origin, and probe the base-path logic.
+
+    The rows of samples [0, n_samples) (``diagnostic_samples``) and the
+    report over them (``diagnostic_report``), as ``estimate_event_probs``
+    returns its report beside its rows.
+    """
+    rows = diagnostic_samples(config, policy_spec, n_samples, seed, warmup_time=warmup_time)
+    return diagnostic_report(config, policy_spec, rows, warmup_time), rows

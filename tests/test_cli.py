@@ -543,6 +543,36 @@ def test_fan_out_runs_serially_without_fork(monkeypatch):
         (task, os.getpid()) for task in (0, 1, 2)]
 
 
+_ALLOWED_CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or len(_ALLOWED_CPUS) < 2,
+                    reason="needs os.fork and 2 allowed CPUs")
+def test_fan_out_pins_worker_k_to_the_kth_allowed_cpu():
+    c0, c1 = _ALLOWED_CPUS[:2]
+    before = os.sched_getaffinity(0)
+    assert _fan_out(lambda task: os.sched_getaffinity(0), range(4), 2) == [{c0}, {c1}, {c0}, {c1}]
+    assert os.sched_getaffinity(0) == before
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("how", ["missing", "refused"])
+def test_fan_out_runs_unpinned_where_affinity_cannot_be_set(monkeypatch, how):
+    if how == "missing":
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    else:
+        def refuse(pid, cpus):
+            raise PermissionError("not allowed")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    assert _fan_out(_square, list(range(5)), 2) == [_square(t) for t in range(5)]
+    if _ALLOWED_CPUS:
+        assert _fan_out(lambda task: sorted(os.sched_getaffinity(0)), [0, 1], 2) == [
+            _ALLOWED_CPUS] * 2
+    _assert_no_child_left()
+
+
 def _libc_has(name):
     try:
         getattr(ctypes.CDLL(None), name)
@@ -1020,6 +1050,7 @@ _MONTE_CARLO = dict(lambdas=[0.9], window_rule="constant:2", n_samples=100, k=2.
     ("diagnostic", _MONTE_CARLO | {"n_samples": 3}),  # and x* as well
     ("diagnostic", _MONTE_CARLO | {"n_samples": 3, "q_ref": 0.2}),  # x* alone
     ("diagnostic", _MONTE_CARLO | {"n_samples": 3, "policy": "threshold:x=2"}),  # q_ref alone
+    ("phase", {"policy": "threshold:auto", "lambdas": [0.9, 0.9]}),  # one walk for both cells
 ])
 def test_sweep_solves_each_threshold_auto_law_once(tmp_path, monkeypatch, kind, fields):
     # every kind's run solves each (lambda, x) law once: a sweep walks each
@@ -1121,6 +1152,58 @@ def test_diagnostic_samples_reproduce_its_counts(tmp_path, monkeypatch):
     for r in samples:
         assert int(r["e2"]) == (int(r["Q0"]) <= 6 * 0.2)
         assert int(r["L0"]) == (int(r["Q0"]) <= 2 * 0.2)
+
+
+@pytest.mark.parametrize("policy", ["threshold:auto", "windowed-drain"])
+def test_diagnostic_pool_worker_count_invariance(tmp_path, monkeypatch, policy):
+    # 7 samples: one worker runs samples 0-2, the other 3-6
+    from qadmit import excursion
+
+    monkeypatch.setattr(excursion, "DEFAULT_WARMUP_EVENTS", 500)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so that 2 workers do fork
+    pools, fan_out = [], cli._fan_out
+
+    def recording(fn, tasks, workers):
+        pools.append(workers)
+        return fan_out(fn, tasks, workers)
+
+    monkeypatch.setattr(cli, "_fan_out", recording)
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert main(["diagnostic", "--p", "0.5", "--lambdas", "0.9", "--window-rule",
+                     "constant:1", "--policy", policy, "--n-samples", "7", "--per-sample-csv",
+                     "--workers", str(workers), "--out", str(out)]) == EXIT_OK
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()
+                        if f.name != "manifest.json"})
+    assert pools == [1, 2]
+    assert outputs[0] == outputs[1]
+    assert set(outputs[0]) == {"diagnostic.json", "diagnostic_samples.csv"}
+    samples = read_rows(tmp_path / "w2" / "diagnostic_samples.csv")
+    assert [int(r["sample"]) for r in samples] == list(range(7))
+    _assert_no_child_left()
+
+
+def test_diagnostic_memory_counts_a_stream_per_worker(tmp_path, monkeypatch, capsys):
+    # each worker holds one sample's stream at a time: physical memory for one
+    # and a half streams runs one worker and refuses two before any file
+    from qadmit import excursion
+
+    monkeypatch.setattr(excursion, "DEFAULT_WARMUP_EVENTS", 500)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    args = ["diagnostic", "--p", "0.5", "--lambdas", "0.9", "--window-rule", "constant:1",
+            "--q-ref", "1.0", "--n-samples", "3"]
+    config = excursion.ExcursionConfig(ModelParams(0.9, 0.5, 1.0), k=1.0, epsilon=0.05,
+                                       zeta=1.0, phi=1.0, q_ref=1.0)
+    horizon = config.horizon_needed + excursion.default_warmup_time(config) + config.window
+    stream_bytes = config.params.total_rate * horizon * cli.PEAK_BYTES_PER_EVENT
+    monkeypatch.setattr(os, "sysconf", _physical_memory(int(1.5 * stream_bytes)))
+    out = tmp_path / "w2"
+    assert main([*args, "--workers", "2", "--out", str(out)]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert "physical memory" in err and "`workers`" in err
+    assert not (out / "manifest.json").exists()
+    assert main([*args, "--workers", "1", "--out", str(tmp_path / "w1")]) == EXIT_OK
 
 
 @pytest.mark.parametrize("args, source", [

@@ -9,6 +9,8 @@ from qadmit.errors import ConfigurationError, EstimationError, OutOfRangeError
 from qadmit.excursion import (
     ExcursionConfig,
     default_warmup_time,
+    diagnostic_report,
+    diagnostic_samples,
     diversion_idling_diagnostic,
     e1_zeta_sweep,
     e5_rate_fit,
@@ -364,6 +366,20 @@ def test_diagnostic_needs_samples(n_samples):
     with pytest.raises(ConfigurationError):
         diversion_idling_diagnostic(make_config(), "threshold:auto", n_samples, 5,
                                     warmup_time=10.0)
+
+
+def test_diagnostic_blocks_join_into_one_call():
+    # contiguous blocks of sample indices, of unequal sizes, give the rows of
+    # one call in order, and the report over the joined rows is its report
+    # (repr, since an empty mean or a one-sample halfwidth is NaN)
+    cfg = make_config(window=1.0, k=1.0, epsilon=0.3, zeta=1.0, phi=1.5, q_ref=0.5)
+    want, rows = diversion_idling_diagnostic(cfg, "windowed-drain", 7, seed=15, warmup_time=50.0)
+    blocks = [diagnostic_samples(cfg, "windowed-drain", n, 15, first, warmup_time=50.0)
+              for first, n in ((0, 3), (3, 4))]
+    assert [r["sample"] for r in blocks[1]] == [3, 4, 5, 6]
+    joined = blocks[0] + blocks[1]
+    assert repr(joined) == repr(rows)
+    assert repr(diagnostic_report(cfg, "windowed-drain", joined, 50.0)) == repr(want)
 
 
 def test_diagnostic_threshold_e2_markov_bound():
